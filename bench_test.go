@@ -10,13 +10,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/benchio"
-	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/mining"
-	"repro/internal/permute"
 )
 
 // benchOptions returns deterministic, benchmark-sized experiment options.
@@ -360,58 +356,6 @@ func BenchmarkSessionBatch(b *testing.B) {
 			sink = res
 		}
 	})
-}
-
-// TestWordPathNotSlowerAtOptNone guards the one cell where the PR 4 word
-// path used to lose to the element walk (word_speedup ≈ 1.0 at opt=none):
-// the blocked kernel must serve opt=none at least as fast as the scalar
-// ablation. Timing assertions are inherently noisy, so both sides keep
-// the minimum of several runs and the word path gets a 15% grace margin —
-// a real regression to the old behaviour shows up as a ratio near or
-// above 1, far outside it.
-func TestWordPathNotSlowerAtOptNone(t *testing.T) {
-	p := SyntheticDefaults()
-	p.N = 1000
-	p.Attrs = 15
-	p.Seed = 5
-	res, err := Synthetic(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := dataset.Encode(res.Data)
-	tree, err := mining.MineClosed(enc, mining.Options{MinSup: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules, err := mining.GenerateRules(tree, mining.RuleOptions{Policy: mining.PaperPolicy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time1 := func(disableWords bool) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 5; i++ {
-			e, err := permute.NewEngine(tree, rules, permute.Config{
-				NumPerms: 30, Seed: 3, Opt: permute.OptNone, Workers: 1,
-				DisableWordCounting: disableWords,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := time.Now()
-			sink = e.MinP()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	time1(false) // warm caches before either timed side
-	word, scalar := time1(false), time1(true)
-	if float64(word) > float64(scalar)*1.15 {
-		t.Fatalf("opt=none word path %v slower than scalar %v (ratio %.2f, want <= 1.15)",
-			word, scalar, float64(word)/float64(scalar))
-	}
-	t.Logf("opt=none: word %v, scalar %v (ratio %.2f)", word, scalar, float64(word)/float64(scalar))
 }
 
 // TestBenchPr6Baseline keeps the committed benchmark trajectory honest:

@@ -24,7 +24,7 @@ type benchFlags struct {
 	shards               *string
 	warmup, repeat       *int
 	seed                 *uint64
-	quick, scalar        *bool
+	quick                *bool
 	adaptive, store      *bool
 	alpha                *float64
 	rev, out, baseline   *string
@@ -48,7 +48,6 @@ func newBenchFlags(stderr io.Writer) *benchFlags {
 		repeat:    fs.Int("repeat", 3, "timed runs per cell (minimum kept)"),
 		seed:      fs.Uint64("seed", 3, "random seed for the permutation shuffles"),
 		quick:     fs.Bool("quick", false, "small matrix for CI smoke runs (perms 25, warmup 0, repeat 1 unless set explicitly)"),
-		scalar:    fs.Bool("scalar", true, "also time each cell with word-parallel counting disabled (records the word-path speedup)"),
 		adaptive:  fs.Bool("adaptive", true, "also time each cell as an adaptive early-stopping FWER run of the same budget (records the adaptive speedup; budgets too small to retire anything are skipped)"),
 		store:     fs.Bool("store", false, "also time each single-node cell out-of-core: the vertical encoding is rebuilt from an on-disk segment store inside the timed region (records the storage overhead as its own keyed cells, so in-memory baselines keep gating)"),
 		alpha:     fs.Float64("alpha", 0.05, "error level the adaptive cells stop against"),
@@ -131,7 +130,6 @@ func runBench(args []string, stdout, stderr io.Writer) error {
 		Warmup:          *f.warmup,
 		Repeat:          *f.repeat,
 		Seed:            *f.seed,
-		MeasureScalar:   *f.scalar,
 		MeasureAdaptive: *f.adaptive,
 		MeasureStore:    *f.store,
 		Alpha:           *f.alpha,
@@ -203,17 +201,13 @@ func benchDataset(in, uciName string, seed uint64) (string, *repro.Dataset, erro
 }
 
 // printBenchTable renders the report in the Fig 4 spirit: one line per
-// cell, speedups against the no-optimisation level and the word-counting
-// ablation.
+// cell, speedups against the no-optimisation level and of the adaptive
+// run.
 func printBenchTable(w io.Writer, rep *benchio.Report) {
 	fmt.Fprintf(w, "# %s %s/%s %d CPUs rev=%s\n", rep.GoVersion, rep.GOOS, rep.GOARCH, rep.CPUs, rep.Rev)
-	fmt.Fprintf(w, "%-20s %-10s %7s %6s %6s %6s %12s %10s %8s %6s %7s\n",
-		"dataset", "opt", "workers", "perms", "shards", "src", "ms/op", "allocs/op", "vs-none", "word", "adapt")
+	fmt.Fprintf(w, "%-20s %-10s %7s %6s %6s %6s %12s %10s %8s %7s\n",
+		"dataset", "opt", "workers", "perms", "shards", "src", "ms/op", "allocs/op", "vs-none", "adapt")
 	for _, e := range rep.Entries {
-		word := "-"
-		if e.WordSpeedup > 0 {
-			word = fmt.Sprintf("%.2fx", e.WordSpeedup)
-		}
 		adapt := "-"
 		if e.AdaptiveSpeedup > 0 {
 			adapt = fmt.Sprintf("%.2fx", e.AdaptiveSpeedup)
@@ -226,8 +220,8 @@ func printBenchTable(w io.Writer, rep *benchio.Report) {
 		if e.Store {
 			src = "store"
 		}
-		fmt.Fprintf(w, "%-20s %-10s %7d %6d %6d %6s %12.3f %10d %7.2fx %6s %7s\n",
+		fmt.Fprintf(w, "%-20s %-10s %7d %6d %6d %6s %12.3f %10d %7.2fx %7s\n",
 			e.Dataset, e.Opt, e.Workers, e.Perms, shards, src,
-			float64(e.NsPerOp)/1e6, e.AllocsPerOp, e.SpeedupVsNone, word, adapt)
+			float64(e.NsPerOp)/1e6, e.AllocsPerOp, e.SpeedupVsNone, adapt)
 	}
 }

@@ -32,7 +32,7 @@ func TestBenchWritesReportAndTable(t *testing.T) {
 		t.Fatalf("report = rev %q, %d entries; want test, 2", rep.Rev, len(rep.Entries))
 	}
 	for _, e := range rep.Entries {
-		if e.NsPerOp <= 0 || e.WordSpeedup <= 0 {
+		if e.NsPerOp <= 0 || e.SpeedupVsNone <= 0 {
 			t.Errorf("entry not measured: %+v", e)
 		}
 	}
@@ -44,7 +44,7 @@ func TestBenchBaselineGate(t *testing.T) {
 	run := func(args ...string) (int, string, string) {
 		var stdout, stderr bytes.Buffer
 		code := realMain(append([]string{
-			"bench", "-quick", "-opts", "diffsets", "-workers", "1",
+			"bench", "-quick", "-opts", "none,diffsets", "-workers", "1",
 			"-perms", "3", "-minsup", "100", "-rev", "a",
 		}, args...), &stdout, &stderr)
 		return code, stdout.String(), stderr.String()
@@ -78,7 +78,6 @@ func TestBenchBaselineGate(t *testing.T) {
 	doctored.Entries = append([]benchio.Entry(nil), base.Entries...)
 	for i := range doctored.Entries {
 		doctored.Entries[i].SpeedupVsNone *= 1000
-		doctored.Entries[i].WordSpeedup *= 1000
 	}
 	impossible := filepath.Join(dir, "BENCH_impossible.json")
 	if err := benchio.WriteFile(impossible, &doctored); err != nil {
@@ -115,6 +114,7 @@ func TestBenchRejectsBadFlags(t *testing.T) {
 		{"bench", "-perms", "-5"},
 		{"bench", "-in", "a.csv", "-uci", "german"},
 		{"bench", "stray"},
+		{"bench", "-scalar"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := realMain(args, &stdout, &stderr); code != 1 {

@@ -310,7 +310,7 @@ func runMine(args []string, stdout, stderr io.Writer) error {
 	if *f.jsonOut {
 		return printJSON(stdout, results, *f.limit)
 	}
-	printText(stdout, sess.Schema().Class.Name, results, *f.limit, *f.quiet)
+	printText(stdout, stderr, sess.Schema().Class.Name, results, *f.limit, *f.quiet)
 	if !*f.quiet && len(results) > 1 {
 		st := sess.Stats()
 		line := fmt.Sprintf("# session: %d mine(s) + %d score(s)", st.Mines, st.Scores)
@@ -449,16 +449,19 @@ func setMethod(cfg *repro.Config, name string) error {
 	return nil
 }
 
-// printText renders the classic line-per-rule report, one block per run.
-// className labels the rule consequents (store-backed sessions have no
-// in-memory dataset, only a schema).
-func printText(w io.Writer, className string, results []*repro.Result, limit int, quiet bool) {
+// printText renders the classic line-per-rule report, one block per run,
+// to w. className labels the rule consequents (store-backed sessions have
+// no in-memory dataset, only a schema). Wall-clock timings differ from run
+// to run, so they go to timing, one line per run, and the report on w
+// stays byte-identical for equal inputs.
+func printText(w, timing io.Writer, className string, results []*repro.Result, limit int, quiet bool) {
 	for _, res := range results {
 		if !quiet {
 			fmt.Fprintf(w, "# %d records, %d rules tested (min_sup=%d), method=%s control=%s alpha=%g\n",
 				res.NumRecords, res.NumTested, res.MinSup, res.Method, res.Control, res.Alpha)
-			fmt.Fprintf(w, "# %d significant rules, cutoff p <= %.4g, mine %v + correct %v\n",
-				len(res.Significant), res.Cutoff, res.MineTime.Round(1e6), res.CorrectTime.Round(1e6))
+			fmt.Fprintf(w, "# %d significant rules, cutoff p <= %.4g\n", len(res.Significant), res.Cutoff)
+			fmt.Fprintf(timing, "# method=%s control=%s: mine %v + correct %v\n",
+				res.Method, res.Control, res.MineTime.Round(1e6), res.CorrectTime.Round(1e6))
 			if res.Perm != nil {
 				fmt.Fprintf(w, "# adaptive: %d round(s), %d/%d perms run, %d/%d rules retired, %d rule-perm evals saved\n",
 					res.Perm.Rounds, res.Perm.PermsRun, res.Perm.MaxPerms,

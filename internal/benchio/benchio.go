@@ -7,13 +7,12 @@
 //
 // Each matrix cell times engine construction plus a full MinP pass
 // (repeat times, keeping the minimum — the standard way to suppress
-// scheduler noise) and, optionally, the same cell with word-parallel
-// counting disabled, so every report carries its own word-vs-scalar
-// ablation. Absolute ns/op is machine-dependent; the regression gate
-// (Compare) therefore checks the machine-independent ratios — speedup
-// versus the "none" level and the word-path speedup — rather than raw
-// times, plus the allocation count per op, which is deterministic on a
-// given build and so gated directly (relative growth, like the ratios).
+// scheduler noise). Absolute ns/op is machine-dependent; the regression
+// gate (Compare) therefore checks machine-independent ratios — speedup
+// versus the "none" level, directly and on the adaptive path — rather
+// than raw times, plus the allocation count per op, which is
+// deterministic on a given build and so gated directly (relative growth,
+// like the ratios).
 package benchio
 
 import (
@@ -58,7 +57,7 @@ type Spec struct {
 	// Shards adds a distributed-counting dimension: each count > 1 times
 	// the same fixed pass through a shard coordinator over that many
 	// in-process workers (nil or empty = single-node only). Sharded cells
-	// skip the scalar/adaptive ablations — they measure dispatch + merge
+	// skip the adaptive ablation — they measure dispatch + merge
 	// overhead, not counting variants.
 	Shards []int
 	// Warmup runs per cell are discarded; Repeat timed runs follow and
@@ -66,9 +65,6 @@ type Spec struct {
 	Warmup, Repeat int
 	// Seed drives the permutation shuffles of every cell.
 	Seed uint64
-	// MeasureScalar additionally times each cell with word-parallel
-	// counting disabled and records the ratio as the word-path speedup.
-	MeasureScalar bool
 	// MeasureAdaptive additionally times each cell as an adaptive
 	// (sequential early-stopping) Westfall–Young run with the same
 	// permutation budget and records fixed/adaptive as the adaptive
@@ -79,7 +75,7 @@ type Spec struct {
 	// rebuilt from an on-disk segment store (internal/colstore) inside
 	// the timed region — snapshot + engine build + MinP — recording what
 	// not holding the dataset in memory costs per run. Store cells skip
-	// the scalar/adaptive ablations (they measure storage overhead, not
+	// the adaptive ablation (they measure storage overhead, not
 	// counting variants) and are keyed separately, so baselines written
 	// before the dimension keep gating the in-memory cells.
 	MeasureStore bool
@@ -119,12 +115,6 @@ type Entry struct {
 	// this cell's — the Fig 4 ladder read off the same run (1.0 for the
 	// "none" cells themselves, 0 when no matching cell was measured).
 	SpeedupVsNone float64 `json:"speedup_vs_none"`
-
-	// ScalarNsPerOp and WordSpeedup record the word-counting ablation:
-	// the same cell with DisableWordCounting, and scalar/word ns ratio.
-	// Zero when the ablation was not measured.
-	ScalarNsPerOp int64   `json:"scalar_ns_per_op,omitempty"`
-	WordSpeedup   float64 `json:"word_speedup,omitempty"`
 
 	// The adaptive cell: the same budget run as an adaptive Westfall–Young
 	// pass (engine build + RunAdaptive), fixed/adaptive ns ratio, and the
@@ -240,18 +230,6 @@ func Run(ctx context.Context, spec Spec, rev string) (*Report, error) {
 							return nil, err
 						}
 						e.NsPerOp, e.AllocsPerOp, e.BytesPerOp = m.ns, m.allocs, m.bytes
-						if spec.MeasureScalar {
-							scell := cell
-							scell.DisableWordCounting = true
-							sm, err := measure(ctx, tree, rules, scell, spec.Warmup, spec.Repeat)
-							if err != nil {
-								return nil, err
-							}
-							e.ScalarNsPerOp = sm.ns
-							if e.NsPerOp > 0 {
-								e.WordSpeedup = float64(sm.ns) / float64(e.NsPerOp)
-							}
-						}
 						// Adaptive cells are only meaningful when the budget
 						// allows at least one retirement round: with
 						// MaxPerms <= the normalized MinPerms the whole run is
@@ -522,7 +500,7 @@ type Regression struct {
 	Perms   int
 	Shards  int    // 0 = single-node
 	Store   bool   // true = out-of-core (segment-store) cell
-	Metric  string // "speedup_vs_none", "word_speedup", "adaptive_vs_none" or "allocs_per_op"
+	Metric  string // "speedup_vs_none", "adaptive_vs_none" or "allocs_per_op"
 	Base    float64
 	Now     float64
 }
@@ -546,7 +524,7 @@ const allocsSlack = 64
 // Compare checks cur against base cell by cell and returns the cells that
 // regressed by more than tolerance (e.g. 0.20 = 20%). Relative metrics
 // are gated because raw ns/op is not comparable across machines:
-// speedup_vs_none, word_speedup, and the adaptive path as
+// speedup_vs_none, and the adaptive path as
 // adaptive_vs_none — the adaptive run's speedup over the same run's
 // "none" cell (speedup_vs_none × adaptive_speedup). The raw
 // adaptive_speedup ratio is deliberately not gated: its denominator is
@@ -583,7 +561,6 @@ func Compare(base, cur *Report, tolerance float64) []Regression {
 			}
 		}
 		check("speedup_vs_none", b.SpeedupVsNone, e.SpeedupVsNone)
-		check("word_speedup", b.WordSpeedup, e.WordSpeedup)
 		check("adaptive_vs_none", b.SpeedupVsNone*b.AdaptiveSpeedup, e.SpeedupVsNone*e.AdaptiveSpeedup)
 		if b.AllocsPerOp > 0 &&
 			float64(e.AllocsPerOp) > float64(b.AllocsPerOp)*(1+tolerance)+allocsSlack {

@@ -20,14 +20,13 @@ func tinySpec(t *testing.T) Spec {
 		t.Fatal(err)
 	}
 	return Spec{
-		Datasets:      []Dataset{{Name: "tiny", Data: res.Data, MinSup: 20}},
-		Opts:          []permute.OptLevel{permute.OptNone, permute.OptDiffsets},
-		Workers:       []int{1},
-		Perms:         []int{5},
-		Warmup:        0,
-		Repeat:        1,
-		Seed:          7,
-		MeasureScalar: true,
+		Datasets: []Dataset{{Name: "tiny", Data: res.Data, MinSup: 20}},
+		Opts:     []permute.OptLevel{permute.OptNone, permute.OptDiffsets},
+		Workers:  []int{1},
+		Perms:    []int{5},
+		Warmup:   0,
+		Repeat:   1,
+		Seed:     7,
 	}
 }
 
@@ -42,10 +41,6 @@ func TestRunMatrixAndRoundTrip(t *testing.T) {
 	for _, e := range rep.Entries {
 		if e.NsPerOp <= 0 {
 			t.Errorf("%s/%s: ns_per_op = %d, want > 0", e.Dataset, e.Opt, e.NsPerOp)
-		}
-		if e.ScalarNsPerOp <= 0 || e.WordSpeedup <= 0 {
-			t.Errorf("%s/%s: scalar ablation not measured (%d, %g)",
-				e.Dataset, e.Opt, e.ScalarNsPerOp, e.WordSpeedup)
 		}
 		if e.SpeedupVsNone <= 0 {
 			t.Errorf("%s/%s: speedup_vs_none = %g, want > 0", e.Dataset, e.Opt, e.SpeedupVsNone)
@@ -77,7 +72,6 @@ func TestRunMatrixAndRoundTrip(t *testing.T) {
 func TestRunShardDimension(t *testing.T) {
 	spec := tinySpec(t)
 	spec.Opts = []permute.OptLevel{permute.OptDiffsets}
-	spec.MeasureScalar = false
 	spec.Shards = []int{1, 3}
 	rep, err := Run(context.Background(), spec, "test-rev")
 	if err != nil {
@@ -101,7 +95,7 @@ func TestRunShardDimension(t *testing.T) {
 	if single.NsPerOp <= 0 || sharded.NsPerOp <= 0 {
 		t.Fatalf("unmeasured cells: single=%d sharded=%d ns/op", single.NsPerOp, sharded.NsPerOp)
 	}
-	if sharded.ScalarNsPerOp != 0 || sharded.AdaptiveNsPerOp != 0 {
+	if sharded.AdaptiveNsPerOp != 0 {
 		t.Fatalf("sharded cell ran ablations: %+v", sharded)
 	}
 }
@@ -166,7 +160,7 @@ func TestRunStoreDimension(t *testing.T) {
 			t.Errorf("%s/%s store=%v: ns_per_op = %d, want > 0", e.Dataset, e.Opt, e.Store, e.NsPerOp)
 		}
 		if e.Store {
-			if e.ScalarNsPerOp != 0 || e.AdaptiveNsPerOp != 0 {
+			if e.AdaptiveNsPerOp != 0 {
 				t.Errorf("store cell ran ablations: %+v", e)
 			}
 			if e.SpeedupVsNone <= 0 {
@@ -233,30 +227,26 @@ func TestReadFileRejectsUnknownSchema(t *testing.T) {
 }
 
 func TestCompareFlagsRelativeRegressions(t *testing.T) {
-	mk := func(speedup, word float64) *Report {
+	mk := func(speedup float64) *Report {
 		return &Report{
 			SchemaVersion: SchemaVersion,
 			Entries: []Entry{
 				{Dataset: "d", Opt: "diffsets", Workers: 1, Perms: 100,
-					NsPerOp: 100, SpeedupVsNone: speedup, WordSpeedup: word},
+					NsPerOp: 100, SpeedupVsNone: speedup},
 			},
 		}
 	}
-	base := mk(10, 1.5)
+	base := mk(10)
 
-	if regs := Compare(base, mk(9.5, 1.45), 0.20); len(regs) != 0 {
+	if regs := Compare(base, mk(9.5), 0.20); len(regs) != 0 {
 		t.Fatalf("within-tolerance drift flagged: %v", regs)
 	}
-	regs := Compare(base, mk(5, 1.5), 0.20)
+	regs := Compare(base, mk(5), 0.20)
 	if len(regs) != 1 || regs[0].Metric != "speedup_vs_none" {
 		t.Fatalf("halved speedup not flagged correctly: %v", regs)
 	}
-	regs = Compare(base, mk(10, 1.0), 0.20)
-	if len(regs) != 1 || regs[0].Metric != "word_speedup" {
-		t.Fatalf("word regression not flagged correctly: %v", regs)
-	}
 	// Cells only in one report are ignored.
-	other := mk(1, 1)
+	other := mk(1)
 	other.Entries[0].Dataset = "elsewhere"
 	if regs := Compare(base, other, 0.20); len(regs) != 0 {
 		t.Fatalf("unmatched cell flagged: %v", regs)

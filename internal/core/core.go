@@ -182,19 +182,11 @@ type Config struct {
 	// worker count.
 	Seed uint64
 	// Opt is the permutation optimisation level (default OptStaticBuffer,
-	// i.e. everything on). Orthogonally to the level, the engine counts
-	// class supports with the blocked word-parallel kernel (striped label
-	// bitmaps + popcount; DESIGN.md §8) — an exact acceleration active at
-	// every level.
+	// i.e. everything on). At every level the engine counts class
+	// supports with its one counting path, the blocked word-parallel
+	// kernel (striped label bitmaps + popcount; DESIGN.md §8); the level
+	// only selects the paper's Diffsets and p-value buffering.
 	Opt permute.OptLevel
-	// DisableWordCounting and DisableBlockedCounting are ablation knobs
-	// forwarded to the permutation engine (permute.Config): the first
-	// falls back to element-by-element label counting, the second drops
-	// the blocked kernel's stripe width to one permutation per pass.
-	// Results are byte-identical either way — only the cost changes.
-	// armine bench flips them to report the word and blocking speedups.
-	DisableWordCounting    bool
-	DisableBlockedCounting bool
 	// OptSet marks Opt as explicitly set (lets callers request OptNone,
 	// which is otherwise indistinguishable from "unset").
 	OptSet bool
@@ -461,16 +453,14 @@ func (c Config) permSource(ctx context.Context, tree *mining.Tree, rules []minin
 // Config.
 func (c Config) permConfig(ctx context.Context) permute.Config {
 	return permute.Config{
-		NumPerms:               c.Permutations,
-		Seed:                   c.Seed,
-		Opt:                    c.Opt,
-		StaticBudget:           c.StaticBudget,
-		Workers:                c.Workers,
-		Test:                   c.Test,
-		DisableWordCounting:    c.DisableWordCounting,
-		DisableBlockedCounting: c.DisableBlockedCounting,
-		Adaptive:               c.Adaptive,
-		Ctx:                    ctx,
+		NumPerms:     c.Permutations,
+		Seed:         c.Seed,
+		Opt:          c.Opt,
+		StaticBudget: c.StaticBudget,
+		Workers:      c.Workers,
+		Test:         c.Test,
+		Adaptive:     c.Adaptive,
+		Ctx:          ctx,
 	}
 }
 

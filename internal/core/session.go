@@ -67,13 +67,8 @@ type permKey struct {
 	adaptive permute.Adaptive
 	alpha    float64 // zero unless adaptive
 	control  Control // ControlFWER unless adaptive
-	// The counting ablation knobs never change results, but they select
-	// different engine internals (striped vs element label matrices), so
-	// configs that flip them must not share an engine — a shared engine
-	// would silently ignore one config's requested counting path.
-	noWords, noBlocks bool
 	// shards is the normalized shard count (0 = single-node). Sharding
-	// never changes results either, but a sharded group runs through the
+	// never changes results, but a sharded group runs through the
 	// coordinator rather than a plain engine, so the requested fan-out
 	// must not be silently dropped by group sharing.
 	shards int
@@ -83,14 +78,12 @@ type permKey struct {
 // config.
 func (c Config) permKey() permKey {
 	k := permKey{
-		rule:     c.ruleKey(),
-		perms:    c.Permutations,
-		seed:     c.Seed,
-		opt:      c.Opt,
-		budget:   c.StaticBudget,
-		noWords:  c.DisableWordCounting,
-		noBlocks: c.DisableBlockedCounting,
-		shards:   c.shardCount(),
+		rule:   c.ruleKey(),
+		perms:  c.Permutations,
+		seed:   c.Seed,
+		opt:    c.Opt,
+		budget: c.StaticBudget,
+		shards: c.shardCount(),
 	}
 	if c.Adaptive.Enabled() {
 		k.perms = 0

@@ -116,9 +116,10 @@ func TestAdaptiveNoRetireByteIdentical(t *testing.T) {
 // TestAdaptiveMatchesFixedSignificantSet is the property test of the
 // retirement prongs: with retirement ON, the adaptive and fixed runs must
 // agree on the significant SET (not just the p-value ordering) across
-// randomized synthetic datasets, seeds, worker counts and the
-// word-counting ablation — while actually retiring rules, or the test
-// would be vacuous.
+// randomized synthetic datasets, seeds and worker counts — while
+// actually retiring rules, or the test would be vacuous. The permute
+// package's variant tests check that the element walk retires the same
+// rules as the blocked kernel.
 func TestAdaptiveMatchesFixedSignificantSet(t *testing.T) {
 	const maxPerms = 400
 	const alpha = 0.05
@@ -131,47 +132,43 @@ func TestAdaptiveMatchesFixedSignificantSet(t *testing.T) {
 	for _, c := range cells {
 		tree, rules := adaptiveCase(t, c.dataSeed, 400, 10, 25, true)
 		for _, workers := range []int{1, 4} {
-			for _, disableWords := range []bool{false, true} {
-				for _, fdr := range []bool{false, true} {
-					fixed, err := permute.NewEngine(tree, rules, permute.Config{
-						NumPerms: maxPerms, Seed: c.permSeed, Workers: workers,
-						DisableWordCounting: disableWords,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					adaptive, err := permute.NewEngine(tree, rules, permute.Config{
-						Seed: c.permSeed, Workers: workers,
-						DisableWordCounting: disableWords,
-						Adaptive:            permute.Adaptive{MinPerms: 50, MaxPerms: maxPerms},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					mode := permute.AdaptFWER
-					if fdr {
-						mode = permute.AdaptFDR
-					}
-					res, err := adaptive.RunAdaptive(mode, alpha)
-					if err != nil {
-						t.Fatal(err)
-					}
-					totalRetired += res.RulesRetired
-					var got, want *Outcome
-					if fdr {
-						got, want = AdaptivePermFDR(res, rules, alpha), PermFDR(fixed, rules, alpha)
-					} else {
-						got, want = AdaptivePermFWER(res, rules, alpha), PermFWER(fixed, rules, alpha)
-					}
-					if len(got.Significant) != len(want.Significant) {
-						t.Fatalf("seed=%d/%d workers=%d words=%v mode=%v: adaptive %d significant != fixed %d",
-							c.dataSeed, c.permSeed, workers, !disableWords, mode, len(got.Significant), len(want.Significant))
-					}
-					for i := range got.Significant {
-						if got.Significant[i] != want.Significant[i] {
-							t.Fatalf("seed=%d/%d mode=%v: significant sets differ at %d: %d != %d",
-								c.dataSeed, c.permSeed, mode, i, got.Significant[i], want.Significant[i])
-						}
+			for _, fdr := range []bool{false, true} {
+				fixed, err := permute.NewEngine(tree, rules, permute.Config{
+					NumPerms: maxPerms, Seed: c.permSeed, Workers: workers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				adaptive, err := permute.NewEngine(tree, rules, permute.Config{
+					Seed: c.permSeed, Workers: workers,
+					Adaptive: permute.Adaptive{MinPerms: 50, MaxPerms: maxPerms},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mode := permute.AdaptFWER
+				if fdr {
+					mode = permute.AdaptFDR
+				}
+				res, err := adaptive.RunAdaptive(mode, alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				totalRetired += res.RulesRetired
+				var got, want *Outcome
+				if fdr {
+					got, want = AdaptivePermFDR(res, rules, alpha), PermFDR(fixed, rules, alpha)
+				} else {
+					got, want = AdaptivePermFWER(res, rules, alpha), PermFWER(fixed, rules, alpha)
+				}
+				if len(got.Significant) != len(want.Significant) {
+					t.Fatalf("seed=%d/%d workers=%d mode=%v: adaptive %d significant != fixed %d",
+						c.dataSeed, c.permSeed, workers, mode, len(got.Significant), len(want.Significant))
+				}
+				for i := range got.Significant {
+					if got.Significant[i] != want.Significant[i] {
+						t.Fatalf("seed=%d/%d mode=%v: significant sets differ at %d: %d != %d",
+							c.dataSeed, c.permSeed, mode, i, got.Significant[i], want.Significant[i])
 					}
 				}
 			}

@@ -181,17 +181,3 @@ func CountStripesBinary(dst0, dst1, base0, base1 []int32, ln int32, idx []int32,
 		}
 	}
 }
-
-// IntersectCountStripes1 is the width-1 degenerate form: a plain sparse
-// AND+popcount of (idx, word) against one unstriped bitmap. It serves the
-// DisableBlockedCounting ablation, where the label matrix stores each
-// permutation's words contiguously.
-//
-//armine:noalloc
-func IntersectCountStripes1(idx []int32, word, stripes []uint64) int32 {
-	var c int32
-	for t, wi := range idx {
-		c += int32(bits.OnesCount64(word[t] & stripes[wi]))
-	}
-	return c
-}

@@ -79,8 +79,8 @@ func adversarialIdSets(n int) [][]uint32 {
 }
 
 // TestIntersectCountStripesOracle drives the striped kernels — the generic
-// width form, the unrolled width-8 form, and the width-1 degenerate form —
-// against the slice-walk oracle across widths 1, 4, 8 and 16, random and
+// width form and the unrolled width-8 form — against the slice-walk
+// oracle across widths 4, 8 and 16, random and
 // adversarial bit patterns, and universes that are not word multiples.
 func TestIntersectCountStripesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 1))
@@ -90,16 +90,14 @@ func TestIntersectCountStripesOracle(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			idSets = append(idSets, randomIds(rng, n, rng.Float64()))
 		}
-		for _, width := range []int{1, 4, 8, 16} {
+		for _, width := range []int{4, 8, 16} {
 			lanes := make([][]uint32, width)
 			for s := range lanes {
 				lanes[s] = randomIds(rng, n, rng.Float64())
 			}
 			// Stress lanes too: one all-ones lane, one empty lane.
-			if width >= 2 {
-				lanes[0] = fullIds(n)
-				lanes[width-1] = nil
-			}
+			lanes[0] = fullIds(n)
+			lanes[width-1] = nil
 			stripes := buildStripes(n, width, lanes)
 			for si, ids := range idSets {
 				idx, word := sparseForm(t, ids)
@@ -119,11 +117,6 @@ func TestIntersectCountStripesOracle(t *testing.T) {
 							t.Fatalf("n=%d set=%d lane=%d: unrolled %d != generic %d",
 								n, si, s, k8[s], got[s])
 						}
-					}
-				}
-				if width == 1 {
-					if c := IntersectCountStripes1(idx, word, stripes); c != got[0] {
-						t.Fatalf("n=%d set=%d: width-1 form %d != generic %d", n, si, c, got[0])
 					}
 				}
 			}

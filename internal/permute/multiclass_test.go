@@ -1,7 +1,6 @@
 package permute
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -40,32 +39,71 @@ func TestEngineThreeClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := e.MinP()
-
-	// Naive recomputation.
-	hyper := mining.NewHypergeoms(enc)
-	shuffled := make([]int32, enc.NumRecords)
-	tidsOf := make([][]uint32, len(tree.Nodes))
-	for i, node := range tree.Nodes {
-		tidsOf[i] = node.MaterializeTids()
+	got, want := e.MinP(), naiveMinP(tree, rules, numPerms, seed)
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("perm %d: engine minP %g != naive %g", j, got[j], want[j])
+		}
 	}
-	for j := 0; j < numPerms; j++ {
-		shufflePerm(shuffled, enc.Labels, seed, j)
-		minP := 1.0
-		for ri := range rules {
-			r := &rules[ri]
-			k := 0
-			for _, tt := range tidsOf[r.Node.Index] {
-				if shuffled[tt] == r.Class {
-					k++
+}
+
+// TestEngineOneClass runs the engine on data where every record carries
+// the same class. The blocked kernel serves this input too: its striped
+// matrix has no class rows and the class-0 remainder is the stored-list
+// length. MinP and CountLE must equal the from-scratch oracle at every
+// optimisation level and worker count.
+func TestEngineOneClass(t *testing.T) {
+	p := synth.PaperDefaults()
+	p.N = 300
+	p.Attrs = 7
+	p.Seed = 56
+	res, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := *res.Data.Schema
+	schema.Class.Values = schema.Class.Values[:1]
+	d := &dataset.Dataset{Schema: &schema, Cells: res.Data.Cells, Labels: make([]int32, len(res.Data.Labels))}
+	enc := dataset.Encode(d)
+	if enc.NumClasses != 1 {
+		t.Fatalf("encoded %d classes, want 1", enc.NumClasses)
+	}
+
+	const numPerms = 13
+	const seed = 4
+	for _, opt := range []OptLevel{OptNone, OptDynamicBuffer, OptDiffsets, OptStaticBuffer} {
+		tree, err := mining.MineClosed(enc, mining.Options{MinSup: 20, StoreDiffsets: opt.WantDiffsets()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules, err := mining.GenerateRules(tree, mining.RuleOptions{Policy: mining.PaperPolicy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rules) == 0 {
+			t.Fatal("no rules mined")
+		}
+		wantP := naiveMinP(tree, rules, numPerms, seed)
+		wantC := naiveCountLE(tree, rules, numPerms, seed)
+		for _, workers := range []int{1, 3} {
+			e, err := NewEngine(tree, rules, Config{NumPerms: numPerms, Seed: seed, Opt: opt, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.lab.stripes == nil || len(e.lab.stripes) != 0 || e.nw == nil {
+				t.Fatalf("opt=%v: one-class engine is not on the blocked kernel", opt)
+			}
+			gotP, gotC := e.MinP(), e.CountLE()
+			for j := range wantP {
+				if gotP[j] != wantP[j] {
+					t.Fatalf("opt=%v workers=%d perm %d: MinP %g != naive %g", opt, workers, j, gotP[j], wantP[j])
 				}
 			}
-			if pv := hyper[r.Class].FisherTwoTailed(k, r.Coverage); pv < minP {
-				minP = pv
+			for ri := range wantC {
+				if gotC[ri] != wantC[ri] {
+					t.Fatalf("opt=%v workers=%d rule %d: CountLE %d != naive %d", opt, workers, ri, gotC[ri], wantC[ri])
+				}
 			}
-		}
-		if math.Abs(got[j]-minP) > 1e-9*minP+1e-300 {
-			t.Fatalf("perm %d: engine minP %g != naive %g", j, got[j], minP)
 		}
 	}
 }

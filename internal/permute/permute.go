@@ -22,9 +22,10 @@
 // AND+popcounted against eight permutations per pass over its words. All
 // per-node scratch (count tiles, child-count buffers) lives in per-worker
 // arenas with checkpoint/rewind, so the steady-state walk never touches
-// the allocator. The blocked, unblocked (stripe width 1) and element-walk
-// paths produce identical integer counts, so results stay byte-identical
-// at every optimisation level and worker count.
+// the allocator. This kernel is the engine's one counting path, at every
+// optimisation level, worker count and class count; the package tests
+// check it against an element-by-element label walk that only they can
+// select, and the two produce identical integer counts.
 //
 // The package comment directive below puts every function in detlint's
 // deterministic scope (DESIGN.md §9): byte-identical output is the
@@ -151,21 +152,6 @@ type Config struct {
 	// ignores Opt's buffering; TestMidP recomputes per evaluation
 	// (expensive, extension only).
 	Test mining.TestKind
-	// DisableWordCounting forces every per-permutation class count back to
-	// the element-by-element label walk, disabling the packed-bitmap
-	// AND+popcount path. An ablation/debugging knob in the spirit of the
-	// Fig 4 ladder — results are byte-identical either way; only the cost
-	// changes. armine bench measures both sides to report the word-path
-	// speedup.
-	DisableWordCounting bool
-	// DisableBlockedCounting drops the blocked kernel's stripe width from
-	// stripeWidth to 1, so the label matrix degenerates to one bitmap per
-	// permutation (the PR 4 word layout) and each pass over a node's tid
-	// words counts a single permutation. A second ablation knob — it
-	// measures what the blocking itself buys on top of word counting.
-	// Results are byte-identical either way. Ignored when word counting
-	// is disabled.
-	DisableBlockedCounting bool
 	// DeferLabels skips the fixed-mode label materialisation at
 	// construction: label blocks are built lazily, per ShardSpan range (or
 	// on the first fixed-mode call). Shard workers set it so an engine that
@@ -180,6 +166,12 @@ type Config struct {
 	// still work on an adaptive engine, evaluating the full MaxPerms
 	// matrix.
 	Adaptive Adaptive
+
+	// elementWalk replaces the blocked kernel with the element-by-element
+	// label walk (elementAccumulate). Only the package tests set it: the
+	// walk is their reference for the kernel's counts and the scalar side
+	// of the BenchmarkPermute* pairs.
+	elementWalk bool
 }
 
 func (c Config) withDefaults() Config {
@@ -206,27 +198,24 @@ const stripeWidth = 8
 // carries it, so block boundaries never change results.
 type labelBlock struct {
 	lo, hi int
-	// stripeS is the stripe width of the packed matrix: stripeWidth, or 1
-	// under the DisableBlockedCounting ablation.
-	stripeS int
 	// permLabels is the transposed label matrix of the block:
 	// permLabels[r*(hi-lo) + (j-lo)] is record r's class under
-	// permutation j. It serves the element-walk path and is only built
-	// when word counting is off (the word path never reads labels
-	// element-wise).
+	// permutation j. It serves the test-only element walk and is only
+	// built for it (the blocked kernel never reads labels element-wise).
 	permLabels []int8
 	// stripes is the striped packed label matrix serving the blocked
-	// word-parallel path. Permutations are grouped into tiles of stripeS
-	// consecutive indices; for tile t, class c in [1, numClasses) and
-	// bitmap word i in [0, words), the stripeS words starting at
+	// word-parallel kernel. Permutations are grouped into tiles of
+	// stripeWidth consecutive indices; for tile t, class c in
+	// [1, numClasses) and bitmap word i in [0, words), the stripeWidth
+	// words starting at
 	//
-	//	((t*(numClasses-1) + (c-1))*words + i) * stripeS
+	//	((t*(numClasses-1) + (c-1))*words + i) * stripeWidth
 	//
 	// hold word i of the class-c bitmaps of the tile's permutations, one
 	// per stripe lane — so the kernel reads lane-adjacent words for eight
 	// permutations at once. Class 0 is derived (counts across classes sum
-	// to the tid-list length), keeping the matrix one class slimmer. nil
-	// when word counting is disabled or there are fewer than two classes.
+	// to the tid-list length), keeping the matrix one class slimmer: with
+	// a single class it has no rows at all. nil under the element walk.
 	stripes []uint64
 }
 
@@ -288,12 +277,8 @@ type Engine struct {
 	labOnce sync.Once
 	// words is the bitmap width in uint64s: ceil(n / 64).
 	words int
-	// stripeS is the engine's stripe width (stripeWidth, or 1 under the
-	// DisableBlockedCounting ablation); worker block boundaries align to
-	// it so no stripe tile straddles two workers.
-	stripeS int
 	// nw is the per-node sparse word view feeding the blocked kernel;
-	// nil when word counting is disabled.
+	// nil under the element walk.
 	nw *nodeWords
 	// rulesByNode maps tree node index -> indices (into rules) of the
 	// rules whose LHS is that node; children is the subtree adjacency.
@@ -384,11 +369,7 @@ func NewEngine(tree *mining.Tree, rules []mining.Rule, cfg Config) (*Engine, err
 		n:          enc.NumRecords,
 		numClasses: enc.NumClasses,
 		words:      intset.Words(enc.NumRecords),
-		stripeS:    stripeWidth,
 		hypergeoms: mining.NewHypergeoms(enc),
-	}
-	if cfg.DisableBlockedCounting {
-		e.stripeS = 1
 	}
 
 	if !cfg.Adaptive.Enabled() && !cfg.DeferLabels {
@@ -399,7 +380,7 @@ func NewEngine(tree *mining.Tree, rules []mining.Rule, cfg Config) (*Engine, err
 			return nil, err
 		}
 	}
-	if e.wordPath() {
+	if !cfg.elementWalk {
 		e.nw = buildNodeWords(tree, cfg.Workers)
 	}
 
@@ -417,11 +398,6 @@ func NewEngine(tree *mining.Tree, rules []mining.Rule, cfg Config) (*Engine, err
 		}
 	})
 	return e, nil
-}
-
-// wordPath reports whether the word-parallel counting path is available.
-func (e *Engine) wordPath() bool {
-	return !e.cfg.DisableWordCounting && e.numClasses >= 2
 }
 
 // buildNodeWords materialises every node's stored list in sparse word
@@ -467,13 +443,14 @@ func buildNodeWords(tree *mining.Tree, workers int) *nodeWords {
 }
 
 // tileBlocks splits the permutations [lo, hi) into at most workers
-// contiguous blocks whose boundaries fall on stripe-tile multiples of S
+// contiguous blocks whose boundaries fall on multiples of stripeWidth
 // (relative to lo), so no stripe tile straddles two workers — the label
 // generators would race on a shared tile's words, and the blocked kernel
 // assumes whole tiles. Only the final block may end mid-tile. The split
 // never affects results: every permutation derives from its absolute
 // index.
-func tileBlocks(lo, hi, workers, S int) [][2]int {
+func tileBlocks(lo, hi, workers int) [][2]int {
+	const S = stripeWidth
 	tiles := (hi - lo + S - 1) / S
 	if workers > tiles {
 		workers = tiles
@@ -503,17 +480,17 @@ func tileBlocks(lo, hi, workers, S int) [][2]int {
 // Workers fill disjoint tile-aligned permutation ranges concurrently;
 // per-permutation RNG derivation from (Seed, j) with the ABSOLUTE
 // permutation index j makes the block independent of both the worker
-// count and the block boundaries. On the word path only the striped
-// bitmap matrix is built (the blocked kernel never reads labels
-// element-wise); the scalar path builds the transposed element matrix
-// instead. A cancelled Ctx aborts the fill; callers must check the
-// context before consuming the (then partial) block.
+// count and the block boundaries. Only the striped bitmap matrix is
+// built (the blocked kernel never reads labels element-wise); the
+// test-only element walk gets the transposed element matrix instead. A
+// cancelled Ctx aborts the fill; callers must check the context before
+// consuming the (then partial) block.
 func (e *Engine) buildLabels(lo, hi int) *labelBlock {
 	cfg := e.cfg
 	count := hi - lo
-	S := e.stripeS
-	lab := &labelBlock{lo: lo, hi: hi, stripeS: S}
-	wordPath := e.wordPath()
+	const S = stripeWidth
+	lab := &labelBlock{lo: lo, hi: hi}
+	wordPath := !cfg.elementWalk
 	if wordPath {
 		tiles := (count + S - 1) / S
 		lab.stripes = make([]uint64, tiles*(e.numClasses-1)*e.words*S)
@@ -523,7 +500,7 @@ func (e *Engine) buildLabels(lo, hi int) *labelBlock {
 	labels := e.tree.Enc.Labels
 	tileStride := (e.numClasses - 1) * e.words * S
 	var wg sync.WaitGroup
-	for _, b := range tileBlocks(lo, hi, cfg.Workers, S) {
+	for _, b := range tileBlocks(lo, hi, cfg.Workers) {
 		wg.Add(1)
 		go func(wlo, whi int) {
 			defer wg.Done()
@@ -621,7 +598,7 @@ func (e *Engine) run(mkVisitor func() visitor, merge func(visitor)) {
 func (e *Engine) runSpan(lab *labelBlock, rulesByNode, children *adjacency, mkVisitor func() visitor, merge func(visitor)) {
 	// Split the span's permutations into one tile-aligned contiguous block
 	// per worker.
-	blocks := tileBlocks(lab.lo, lab.hi, e.cfg.Workers, lab.stripeS)
+	blocks := tileBlocks(lab.lo, lab.hi, e.cfg.Workers)
 
 	// Translate context cancellation into the cheap stop flag the DFS
 	// polls at every node.
@@ -715,7 +692,7 @@ func (e *Engine) runBlock(lab *labelBlock, rulesByNode, children *adjacency, per
 		children:    children,
 		perm0:       perm0,
 		blockLen:    blockLen,
-		tile0:       (perm0 - lab.lo) / lab.stripeS,
+		tile0:       (perm0 - lab.lo) / stripeWidth,
 		v:           v,
 		st:          st,
 	}
@@ -761,20 +738,20 @@ type walker struct {
 //
 //armine:noalloc
 func (w *walker) countsFromNode(nd *mining.Node) []int32 {
-	if w.lab.stripes != nil {
-		counts := w.st.arena.Alloc(w.e.numClasses * w.blockLen)
-		w.blockedCounts(counts, nil, nd)
+	if w.e.cfg.elementWalk {
+		counts := w.st.arena.AllocZero(w.e.numClasses * w.blockLen)
+		w.elementAccumulate(counts, nd.Tids, +1)
 		return counts
 	}
-	counts := w.st.arena.AllocZero(w.e.numClasses * w.blockLen)
-	w.elementAccumulate(counts, nd.Tids, +1)
+	counts := w.st.arena.Alloc(w.e.numClasses * w.blockLen)
+	w.blockedCounts(counts, nil, nd)
 	return counts
 }
 
 // blockedCounts fills dst with nd's class-count matrix using the blocked
 // striped kernel: one pass per stripe tile over the node's sparse tid
-// words counts stripeS permutations for all classes, accumulating into a
-// register tile and writing each class row back in one go. With base nil
+// words counts stripeWidth permutations for all classes, accumulating
+// into a register tile and writing each class row back in one go. With base nil
 // the node's stored list is counted directly (dst[c][j] = k_c); with base
 // non-nil the stored list is the node's Diffset and dst[c][j] =
 // base[c][j] - k_c — §4.2.2's subtraction fused into the write-back, so
@@ -789,31 +766,6 @@ func (w *walker) blockedCounts(dst, base []int32, nd *mining.Node) {
 	idx, word := nw.idx[o:p], nw.word[o:p]
 	ln := int32(len(nd.StoredIds()))
 	C, W, bl := e.numClasses, e.words, w.blockLen
-	if w.lab.stripeS == 1 {
-		// DisableBlockedCounting ablation: perm-major layout, one
-		// permutation per pass.
-		tileStride := (C - 1) * W
-		for j := 0; j < bl; j++ {
-			tbase := (w.tile0 + j) * tileStride
-			rest := ln
-			for c := 1; c < C; c++ {
-				k := intset.IntersectCountStripes1(idx, word, w.lab.stripes[tbase+(c-1)*W:tbase+c*W])
-				if base != nil {
-					dst[c*bl+j] = base[c*bl+j] - k
-				} else {
-					dst[c*bl+j] = k
-				}
-				rest -= k
-			}
-			if base != nil {
-				dst[j] = base[j] - rest
-			} else {
-				dst[j] = rest
-			}
-		}
-		return
-	}
-
 	const S = stripeWidth
 	tileStride := (C - 1) * W * S
 	j0start := 0
@@ -876,8 +828,8 @@ func (w *walker) blockedCounts(dst, base []int32, nd *mining.Node) {
 
 // elementAccumulate adds (sign = +1) or subtracts (sign = -1) the
 // per-class, per-permutation counts of ids into counts by walking the
-// transposed element label matrix — the scalar ablation path
-// (DisableWordCounting), byte-identical in output to the blocked kernel.
+// transposed element label matrix — the test-only reference for the
+// blocked kernel (Config.elementWalk), identical to it in output.
 //
 //armine:noalloc
 func (w *walker) elementAccumulate(counts []int32, ids []uint32, sign int32) {
@@ -952,7 +904,7 @@ func (w *walker) node(nd *mining.Node, counts []int32) {
 		switch {
 		case !child.HasDiff():
 			childCounts = w.countsFromNode(child)
-		case w.lab.stripes != nil:
+		case !w.e.cfg.elementWalk:
 			// counts(child) = counts(parent) - counts(diff), per class and
 			// permutation (§4.2.2 applied to the permutation matrix), fused
 			// into the blocked kernel's write-back.

@@ -2,7 +2,6 @@ package permute
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -34,25 +33,23 @@ func buildCase(t *testing.T, seed uint64, n, attrs, minSup int, diffsets bool) (
 	return tree, rules
 }
 
-// naiveMinP recomputes the per-permutation minimum p-value from scratch:
-// regenerate the same label shuffles, materialise every node's tid-list,
-// count supports, and call Fisher directly.
-func naiveMinP(tree *mining.Tree, rules []mining.Rule, numPerms int, seed uint64) []float64 {
+// naivePValues recomputes every rule's p-value on every permutation from
+// scratch: regenerate the same label shuffles, materialise every node's
+// tid-list, count supports, and call Fisher directly. ps[j][ri] is rule
+// ri's p-value under permutation j. FisherTwoTailed is bit-identical to
+// the engine's buffered lookups, so the engine must match it exactly.
+func naivePValues(tree *mining.Tree, rules []mining.Rule, numPerms int, seed uint64) [][]float64 {
 	enc := tree.Enc
-	n := enc.NumRecords
 	hyper := mining.NewHypergeoms(enc)
-
-	shuffled := make([]int32, n)
-
+	shuffled := make([]int32, enc.NumRecords)
 	tidsOf := make([][]uint32, len(tree.Nodes))
 	for i, node := range tree.Nodes {
 		tidsOf[i] = node.MaterializeTids()
 	}
-
-	out := make([]float64, numPerms)
-	for j := 0; j < numPerms; j++ {
+	ps := make([][]float64, numPerms)
+	for j := range ps {
 		shufflePerm(shuffled, enc.Labels, seed, j)
-		minP := 1.0
+		ps[j] = make([]float64, len(rules))
 		for ri := range rules {
 			r := &rules[ri]
 			k := 0
@@ -61,12 +58,36 @@ func naiveMinP(tree *mining.Tree, rules []mining.Rule, numPerms int, seed uint64
 					k++
 				}
 			}
-			p := hyper[r.Class].FisherTwoTailed(k, r.Coverage)
-			if p < minP {
-				minP = p
+			ps[j][ri] = hyper[r.Class].FisherTwoTailed(k, r.Coverage)
+		}
+	}
+	return ps
+}
+
+// naiveMinP is the per-permutation minimum of naivePValues.
+func naiveMinP(tree *mining.Tree, rules []mining.Rule, numPerms int, seed uint64) []float64 {
+	out := make([]float64, numPerms)
+	for j, ps := range naivePValues(tree, rules, numPerms, seed) {
+		out[j] = 1
+		for _, p := range ps {
+			out[j] = min(out[j], p)
+		}
+	}
+	return out
+}
+
+// naiveCountLE counts, per rule, the pooled naivePValues that are <= the
+// rule's original p-value.
+func naiveCountLE(tree *mining.Tree, rules []mining.Rule, numPerms int, seed uint64) []int64 {
+	out := make([]int64, len(rules))
+	for _, ps := range naivePValues(tree, rules, numPerms, seed) {
+		for _, p := range ps {
+			for ri := range rules {
+				if p <= rules[ri].P {
+					out[ri]++
+				}
 			}
 		}
-		out[j] = minP
 	}
 	return out
 }
@@ -86,7 +107,7 @@ func TestEngineMinPMatchesNaiveAllOptLevels(t *testing.T) {
 			}
 			got := e.MinP()
 			for j := range want {
-				if math.Abs(got[j]-want[j]) > 1e-9*math.Max(got[j], want[j])+1e-300 {
+				if got[j] != want[j] {
 					t.Fatalf("opt=%v workers=%d perm %d: minP = %g, want %g",
 						opt, workers, j, got[j], want[j])
 				}
@@ -100,37 +121,7 @@ func TestEngineCountLEMatchesNaive(t *testing.T) {
 	const seed = 7
 	tree, rules := buildCase(t, 11, 250, 7, 15, true)
 
-	// Naive pooled counts.
-	enc := tree.Enc
-	n := enc.NumRecords
-	hyper := mining.NewHypergeoms(enc)
-	shuffled := make([]int32, n)
-	tidsOf := make([][]uint32, len(tree.Nodes))
-	for i, node := range tree.Nodes {
-		tidsOf[i] = node.MaterializeTids()
-	}
-	var pool []float64
-	for j := 0; j < numPerms; j++ {
-		shufflePerm(shuffled, enc.Labels, seed, j)
-		for ri := range rules {
-			r := &rules[ri]
-			k := 0
-			for _, tt := range tidsOf[r.Node.Index] {
-				if shuffled[tt] == r.Class {
-					k++
-				}
-			}
-			pool = append(pool, hyper[r.Class].FisherTwoTailed(k, r.Coverage))
-		}
-	}
-	want := make([]int64, len(rules))
-	for ri := range rules {
-		for _, p := range pool {
-			if p <= rules[ri].P {
-				want[ri]++
-			}
-		}
-	}
+	want := naiveCountLE(tree, rules, numPerms, seed)
 
 	for _, workers := range []int{1, 3} {
 		e, err := NewEngine(tree, rules, Config{
@@ -141,9 +132,6 @@ func TestEngineCountLEMatchesNaive(t *testing.T) {
 		}
 		got := e.CountLE()
 		for ri := range rules {
-			// Tolerate off-by-small-count drift from float ties at the
-			// boundary: direct and buffered p-values agree to ~1e-12
-			// relative, so exact equality is expected in practice.
 			if got[ri] != want[ri] {
 				t.Fatalf("workers=%d rule %d: CountLE = %d, want %d", workers, ri, got[ri], want[ri])
 			}

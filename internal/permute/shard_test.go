@@ -27,7 +27,7 @@ func tilePlan(n, shards int) [][2]int {
 }
 
 // TestShardSpanByteIdentical is the shard-range conformance property: for
-// every optimisation level, worker count and counting ablation, evaluating
+// every optimisation level, worker count and counting path, evaluating
 // [0, N) as 1, 2, 3 or 8 disjoint contiguous ShardSpan tiles and merging
 // (concatenating minima, summing counts) must equal the single-node
 // engine's MinP and CountLE byte for byte — not approximately. The (Seed,
@@ -37,15 +37,6 @@ func tilePlan(n, shards int) [][2]int {
 func TestShardSpanByteIdentical(t *testing.T) {
 	const numPerms = 25
 	const seed = 99
-	type ablation struct {
-		name           string
-		noWords, noBlk bool
-	}
-	ablations := []ablation{
-		{"default", false, false},
-		{"scalar", true, false},
-		{"unblocked", false, true},
-	}
 	for _, opt := range []OptLevel{OptNone, OptDynamicBuffer, OptDiffsets, OptStaticBuffer} {
 		tree, rules := buildCase(t, 5, 300, 8, 20, opt.WantDiffsets())
 		ps := make([]float64, len(rules))
@@ -53,12 +44,11 @@ func TestShardSpanByteIdentical(t *testing.T) {
 			ps[i] = rules[i].P
 		}
 		rank := NewRank(ps)
-		for _, ab := range ablations {
+		for _, ab := range countVariants {
 			for _, workers := range []int{1, 4} {
 				cfg := Config{
 					NumPerms: numPerms, Seed: seed, Opt: opt, Workers: workers,
-					DisableWordCounting:    ab.noWords,
-					DisableBlockedCounting: ab.noBlk,
+					elementWalk: ab.elementWalk,
 				}
 				single, err := NewEngine(tree, rules, cfg)
 				if err != nil {

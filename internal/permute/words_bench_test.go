@@ -3,20 +3,19 @@ package permute
 import "testing"
 
 // BenchmarkPermute* measure the word-parallel counting path against the
-// element-walk ablation (Config.DisableWordCounting) on the Fig 4-style
+// element walk (the test-only Config.elementWalk) on the Fig 4-style
 // synthetic workload, for the two optimisation levels where counting
 // dominates: OptNone (full tid-lists everywhere) and OptDiffsets
-// (difference-list subtraction). armine bench runs the same comparison
-// and records it in BENCH_<rev>.json.
+// (difference-list subtraction).
 
-func benchPermute(b *testing.B, opt OptLevel, disableWords bool) {
+func benchPermute(b *testing.B, opt OptLevel, elementWalk bool) {
 	tree, rules := benchTree(b, opt.WantDiffsets())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e, err := NewEngine(tree, rules, Config{
 			NumPerms: 50, Seed: 3, Opt: opt, Workers: 1,
-			DisableWordCounting: disableWords,
+			elementWalk: elementWalk,
 		})
 		if err != nil {
 			b.Fatal(err)

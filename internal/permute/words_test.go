@@ -4,24 +4,22 @@ import (
 	"testing"
 )
 
-// countVariants is the full ablation matrix of the counting paths: the
-// blocked striped kernel (the default), the unblocked word path (stripe
-// width 1) and the element walk. Every test asserting byte-identity
-// quantifies over all three.
+// countVariants are the two counting paths: the blocked striped kernel
+// (the engine's only production path) and the element walk it is checked
+// against (the test-only Config.elementWalk). Every test asserting
+// byte-identity quantifies over both.
 var countVariants = []struct {
-	name                  string
-	disableWord, disableB bool
+	name        string
+	elementWalk bool
 }{
-	{"blocked", false, false},
-	{"unblocked", false, true},
-	{"scalar", true, false},
+	{"blocked", false},
+	{"scalar", true},
 }
 
-// TestEngineWordVsScalarByteIdentical pins the tentpole guarantee: the
-// blocked word-parallel kernel, the unblocked (stripe width 1) word path
-// and the element-walk path produce exactly the same results — not
-// approximately — at every optimisation level and worker count, for both
-// the FWER (MinP) and FDR (CountLE) outputs.
+// TestEngineWordVsScalarByteIdentical pins the kernel's guarantee: the
+// blocked word-parallel kernel and the element walk produce exactly the
+// same results — not approximately — at every optimisation level and
+// worker count, for both the FWER (MinP) and FDR (CountLE) outputs.
 func TestEngineWordVsScalarByteIdentical(t *testing.T) {
 	for _, opt := range []OptLevel{OptNone, OptDynamicBuffer, OptDiffsets, OptStaticBuffer} {
 		// 300 records: a universe that is not a multiple of 64.
@@ -32,27 +30,17 @@ func TestEngineWordVsScalarByteIdentical(t *testing.T) {
 			for _, v := range countVariants {
 				e, err := NewEngine(tree, rules, Config{
 					NumPerms: 40, Seed: 11, Opt: opt, Workers: workers,
-					DisableWordCounting:    v.disableWord,
-					DisableBlockedCounting: v.disableB,
+					elementWalk: v.elementWalk,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if v.disableWord {
+				if v.elementWalk {
 					if e.lab.stripes != nil || e.lab.permLabels == nil || e.nw != nil {
 						t.Fatalf("opt=%v: scalar engine still carries word state", opt)
 					}
-				} else {
-					if e.lab.stripes == nil || e.lab.permLabels != nil || e.nw == nil {
-						t.Fatalf("opt=%v %s: word engine lacks the striped matrix", opt, v.name)
-					}
-					wantS := stripeWidth
-					if v.disableB {
-						wantS = 1
-					}
-					if e.lab.stripeS != wantS {
-						t.Fatalf("opt=%v %s: stripe width %d, want %d", opt, v.name, e.lab.stripeS, wantS)
-					}
+				} else if e.lab.stripes == nil || e.lab.permLabels != nil || e.nw == nil {
+					t.Fatalf("opt=%v %s: word engine lacks the striped matrix", opt, v.name)
 				}
 				gotP, gotC := e.MinP(), e.CountLE()
 				if refP == nil {
@@ -77,7 +65,7 @@ func TestEngineWordVsScalarByteIdentical(t *testing.T) {
 }
 
 // TestEngineAdaptiveVariantsByteIdentical extends the byte-identity
-// guarantee to adaptive runs: all three counting paths must retire the
+// guarantee to adaptive runs: both counting paths must retire the
 // same rules on the same rounds and report identical statistics.
 func TestEngineAdaptiveVariantsByteIdentical(t *testing.T) {
 	for _, opt := range []OptLevel{OptNone, OptStaticBuffer} {
@@ -87,9 +75,8 @@ func TestEngineAdaptiveVariantsByteIdentical(t *testing.T) {
 			for _, v := range countVariants {
 				e, err := NewEngine(tree, rules, Config{
 					Seed: 11, Opt: opt, Workers: workers,
-					DisableWordCounting:    v.disableWord,
-					DisableBlockedCounting: v.disableB,
-					Adaptive:               Adaptive{MinPerms: 16, MaxPerms: 96},
+					elementWalk: v.elementWalk,
+					Adaptive:    Adaptive{MinPerms: 16, MaxPerms: 96},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -135,8 +122,7 @@ func TestEngineWordPathSmallBlocks(t *testing.T) {
 		for _, v := range countVariants {
 			e, err := NewEngine(tree, rules, Config{
 				NumPerms: 7, Seed: 2, Opt: OptDiffsets, Workers: workers,
-				DisableWordCounting:    v.disableWord,
-				DisableBlockedCounting: v.disableB,
+				elementWalk: v.elementWalk,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -129,7 +129,7 @@ func TestCoordinatorFixedByteIdentical(t *testing.T) {
 
 // TestCoordinatorAdaptiveExactAgreement is the sharded half of the PR 5
 // adaptive property test: across the same randomized dataset × seed ×
-// workers × word-ablation × mode matrix, the coordinator's RunAdaptive
+// workers × mode matrix, the coordinator's RunAdaptive
 // must reproduce the single-node engine's AdaptiveResult exactly — every
 // round length, retirement decision, per-rule count and permutation
 // minimum — because the coordinator drives the identical schedule from
@@ -143,39 +143,36 @@ func TestCoordinatorAdaptiveExactAgreement(t *testing.T) {
 	for _, c := range cells {
 		tree, rules, ps := buildCase(t, c.dataSeed, 400, 10, 25)
 		for _, workers := range []int{1, 4} {
-			for _, disableWords := range []bool{false, true} {
-				for _, fdr := range []bool{false, true} {
-					cfg := permute.Config{
-						Seed: c.permSeed, Workers: workers,
-						DisableWordCounting: disableWords,
-						Adaptive:            permute.Adaptive{MinPerms: 50, MaxPerms: maxPerms},
-					}
-					single, err := permute.NewEngine(tree, rules, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mode := permute.AdaptFWER
-					if fdr {
-						mode = permute.AdaptFDR
-					}
-					want, err := single.RunAdaptive(mode, alpha)
-					if err != nil {
-						t.Fatal(err)
-					}
-					coord, err := NewCoordinator(localWorkers(t, tree, rules, cfg, 3), ps, 0, cfg.Adaptive)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := coord.RunAdaptive(context.Background(), mode, alpha)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed=%d/%d workers=%d words=%v mode=%v: sharded AdaptiveResult differs from single-node",
-							c.dataSeed, c.permSeed, workers, !disableWords, mode)
-					}
-					totalRetired += got.RulesRetired
+			for _, fdr := range []bool{false, true} {
+				cfg := permute.Config{
+					Seed: c.permSeed, Workers: workers,
+					Adaptive: permute.Adaptive{MinPerms: 50, MaxPerms: maxPerms},
 				}
+				single, err := permute.NewEngine(tree, rules, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mode := permute.AdaptFWER
+				if fdr {
+					mode = permute.AdaptFDR
+				}
+				want, err := single.RunAdaptive(mode, alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				coord, err := NewCoordinator(localWorkers(t, tree, rules, cfg, 3), ps, 0, cfg.Adaptive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := coord.RunAdaptive(context.Background(), mode, alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed=%d/%d workers=%d mode=%v: sharded AdaptiveResult differs from single-node",
+						c.dataSeed, c.permSeed, workers, mode)
+				}
+				totalRetired += got.RulesRetired
 			}
 		}
 	}
