@@ -489,7 +489,7 @@ type Server = server.Server
 type ConfigJSON = server.ConfigJSON
 
 // RunJSON is the wire form of one mining result, shared by the HTTP
-// service's responses and "armine -json".
+// service's responses and "armine mine -json".
 type RunJSON = server.RunJSON
 
 // NewRegistry returns a registry holding at most capacity sessions

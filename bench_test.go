@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/benchio"
 	"repro/internal/experiments"
 )
 
@@ -356,48 +355,6 @@ func BenchmarkSessionBatch(b *testing.B) {
 			sink = res
 		}
 	})
-}
-
-// TestBenchPr6Baseline keeps the committed benchmark trajectory honest:
-// BENCH_pr6.json must pass the regression gate against BENCH_pr5.json,
-// and the headline claims of the blocked-kernel PR — ≥3x ns/op and ≥10x
-// fewer allocations at the buffered 10k-permutation cell — must hold
-// between the two committed files. Both were recorded on the same
-// machine (same-file comparison is skipped otherwise, mirroring armine
-// bench's environment check).
-func TestBenchPr6Baseline(t *testing.T) {
-	pr5, err := benchio.ReadFile("BENCH_pr5.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr6, err := benchio.ReadFile("BENCH_pr6.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := benchio.Compare(pr5, pr6, 0.20); len(regs) != 0 {
-		t.Fatalf("BENCH_pr6.json regresses vs BENCH_pr5.json: %v", regs)
-	}
-	if pr5.GOOS != pr6.GOOS || pr5.GOARCH != pr6.GOARCH || pr5.CPUs != pr6.CPUs {
-		t.Skip("baselines recorded on different environments; ratio claims not comparable")
-	}
-	find := func(rep *benchio.Report) *benchio.Entry {
-		for i := range rep.Entries {
-			e := &rep.Entries[i]
-			if e.Opt == "static" && e.Workers == 1 && e.Perms == 10000 {
-				return e
-			}
-		}
-		t.Fatal("static/1/10000 cell missing")
-		return nil
-	}
-	was, now := find(pr5), find(pr6)
-	if speedup := float64(was.NsPerOp) / float64(now.NsPerOp); speedup < 3 {
-		t.Errorf("static/10k ns/op speedup vs pr5 = %.2fx, want >= 3x", speedup)
-	}
-	if was.AllocsPerOp < 10*now.AllocsPerOp {
-		t.Errorf("static/10k allocs/op %d -> %d, want >= 10x reduction",
-			was.AllocsPerOp, now.AllocsPerOp)
-	}
 }
 
 // Extension ablations (beyond the paper's figures).

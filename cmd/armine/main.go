@@ -5,9 +5,8 @@
 //
 // Subcommands:
 //
-//	armine mine    [flags]   one-shot mining run (default when flags come first)
+//	armine mine    [flags]   one-shot mining run
 //	armine serve   [flags]   HTTP mining service over a bounded session registry
-//	armine bench   [flags]   permutation-engine benchmark matrix -> BENCH_<rev>.json
 //	armine convert [flags]   CSV -> on-disk segment store for out-of-core mining
 //
 // Mining examples:
@@ -16,7 +15,7 @@
 //	armine mine -in data.csv -minsup 60 -method permutation -perms 1000
 //	armine mine -uci german -minsup 60 -method permutation -perms 10000 -adaptive
 //	armine mine -uci german -minsup 60 -method permutation -perms 1000 -shards 4
-//	armine -uci german -minsup 60 -method holdout -control fwer
+//	armine mine -uci german -minsup 60 -method holdout -control fwer
 //
 // Out-of-core examples — convert once, then mine datasets larger than
 // memory from the store (results are byte-identical to the in-memory
@@ -64,12 +63,6 @@
 // otherwise they run in-process.
 //
 // See the repro package docs (api.go) for the endpoint table.
-//
-// Benchmarking examples (see DESIGN.md §6 for the BENCH json schema):
-//
-//	armine bench -quick -rev $(git rev-parse --short HEAD)
-//	armine bench -in data.csv -minsup 60 -perms 100,1000 -workers 1,0 \
-//	    -baseline BENCH_prev.json -out BENCH_cur.json
 package main
 
 import (
@@ -95,28 +88,27 @@ func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// realMain dispatches to a subcommand; bare flags select "mine" for
-// backward compatibility. Errors go to stderr with exit 1 — stdout carries
-// only the requested report (text or JSON).
+// realMain dispatches to a subcommand, which must come first. Errors go
+// to stderr with exit 1 — stdout carries only the requested report (text
+// or JSON).
 func realMain(args []string, stdout, stderr io.Writer) int {
-	cmd, rest := "mine", args
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		cmd, rest = args[0], args[1:]
+	if len(args) == 0 {
+		usage(stderr)
+		return 1
 	}
+	cmd, rest := args[0], args[1:]
 	var err error
 	switch cmd {
 	case "mine":
 		err = runMine(rest, stdout, stderr)
 	case "serve":
 		err = runServe(rest, stderr)
-	case "bench":
-		err = runBench(rest, stdout, stderr)
 	case "convert":
 		err = runConvert(rest, stdout, stderr)
 	case "help":
 		usage(stdout)
 	default:
-		err = fmt.Errorf("unknown command %q (want mine, serve, bench or convert)", cmd)
+		err = fmt.Errorf("unknown command %q (want mine, serve or convert)", cmd)
 	}
 	switch {
 	case err == nil:
@@ -138,13 +130,11 @@ var errUsage = errors.New("usage error")
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `armine — significant class association rule mining
 
-  armine mine    [flags]   one-shot mining run ("armine -in ..." also works)
+  armine mine    [flags]   one-shot mining run
   armine serve   [flags]   HTTP mining service
-  armine bench   [flags]   permutation-engine benchmarks -> BENCH_<rev>.json
   armine convert [flags]   CSV -> on-disk segment store for out-of-core mining
 
-Run "armine mine -h", "armine serve -h", "armine bench -h" or
-"armine convert -h" for flags.`)
+Run "armine mine -h", "armine serve -h" or "armine convert -h" for flags.`)
 }
 
 // parseArgs runs fs over args, normalizing help and parse failures.

@@ -29,9 +29,9 @@ func writeTempCSV(t *testing.T) string {
 	return path
 }
 
-// TestRealMainDispatch covers the subcommand surface: bare flags fall back
-// to mine, "help" succeeds, unknown commands and unknown flags fail with
-// exit 1 and a message on stderr only.
+// TestRealMainDispatch covers the subcommand surface: "help" succeeds;
+// unknown commands, flags before the subcommand, a missing subcommand and
+// unknown flags fail with exit 1 and a message on stderr only.
 func TestRealMainDispatch(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := realMain([]string{"help"}, &stdout, &stderr); code != 0 {
@@ -48,6 +48,16 @@ func TestRealMainDispatch(t *testing.T) {
 	if !strings.Contains(stderr.String(), "unknown command") || stdout.Len() != 0 {
 		t.Errorf("unknown command: stderr=%q stdout=%q", stderr.String(), stdout.String())
 	}
+	for _, args := range [][]string{{"bench", "-quick"}, {"-uci", "german", "-minsup", "60"}, nil} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := realMain(args, &stdout, &stderr); code != 1 {
+			t.Errorf("%q: exit = %d, want 1", args, code)
+		}
+		if !strings.Contains(stderr.String(), "serve") || !strings.Contains(stderr.String(), "convert") || stdout.Len() != 0 {
+			t.Errorf("%q: stderr=%q stdout=%q, want the subcommands named on stderr", args, stderr.String(), stdout.String())
+		}
+	}
 	stdout.Reset()
 	stderr.Reset()
 	if code := realMain([]string{"mine", "-bogusflag"}, &stdout, &stderr); code != 1 {
@@ -63,11 +73,11 @@ func TestRealMainDispatch(t *testing.T) {
 // stream on stdout.
 func TestMineJSONErrorsToStderr(t *testing.T) {
 	cases := [][]string{
-		{"-json"}, // no input selected
-		{"-json", "-in", "/nonexistent/file.csv"},                                // unreadable input
-		{"-json", "-uci", "german"},                                              // no -minsup / -minsup-frac
-		{"-uci", "german", "-minsup", "60", "-json", "-methods", "direct,bogus"}, // bad method token
-		{"-uci", "german", "-minsup", "60", "-json", "-control", "bogus"},        // bad control
+		{"mine", "-json"}, // no input selected
+		{"mine", "-json", "-in", "/nonexistent/file.csv"},                                // unreadable input
+		{"mine", "-json", "-uci", "german"},                                              // no -minsup / -minsup-frac
+		{"mine", "-uci", "german", "-minsup", "60", "-json", "-methods", "direct,bogus"}, // bad method token
+		{"mine", "-uci", "german", "-minsup", "60", "-json", "-control", "bogus"},        // bad control
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
@@ -90,7 +100,7 @@ func TestMineMethodsRejectedUpFront(t *testing.T) {
 	// The input file does not exist — if methods were validated after the
 	// dataset load, the error would be about the file instead.
 	var stdout, stderr bytes.Buffer
-	code := realMain([]string{"-in", "/nonexistent/file.csv", "-minsup", "5", "-methods", "direct,bogus"}, &stdout, &stderr)
+	code := realMain([]string{"mine", "-in", "/nonexistent/file.csv", "-minsup", "5", "-methods", "direct,bogus"}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit = %d", code)
 	}
@@ -101,7 +111,7 @@ func TestMineMethodsRejectedUpFront(t *testing.T) {
 		t.Errorf("dataset was loaded before method validation: %q", stderr.String())
 	}
 	stderr.Reset()
-	if code := realMain([]string{"-in", "/nonexistent/file.csv", "-minsup", "5", "-methods", "direct,"}, &stdout, &stderr); code != 1 {
+	if code := realMain([]string{"mine", "-in", "/nonexistent/file.csv", "-minsup", "5", "-methods", "direct,"}, &stdout, &stderr); code != 1 {
 		t.Errorf("trailing comma exit = %d, want 1 (empty tokens must not be silently skipped)", code)
 	}
 }

@@ -61,12 +61,12 @@ func armineInvocations(t *testing.T, path string) []string {
 // TestReadmeFlagsExist fails when a README armine example uses a flag
 // the CLI does not define — the drift that creeps in when flags are
 // renamed without re-reading the docs. Subcommand flag sets come from
-// the same constructors the real runs use.
+// the same constructors the real runs use. Every example must name its
+// subcommand: armine has no bare-flag form.
 func TestReadmeFlagsExist(t *testing.T) {
 	sets := map[string]*flag.FlagSet{
 		"mine":    newMineFlags(io.Discard).fs,
 		"serve":   newServeFlags(io.Discard).fs,
-		"bench":   newBenchFlags(io.Discard).fs,
 		"convert": newConvertFlags(io.Discard).fs,
 	}
 	cmds := armineInvocations(t, "../../README.md")
@@ -74,12 +74,16 @@ func TestReadmeFlagsExist(t *testing.T) {
 		t.Fatalf("found only %d armine invocations in README.md; the extractor is broken:\n%v", len(cmds), cmds)
 	}
 	for _, cmd := range cmds {
-		sub := "mine" // bare flags default to mine
+		sub := ""
 		for name := range sets {
 			if strings.Contains(cmd, "armine "+name) {
 				sub = name
 				break
 			}
+		}
+		if sub == "" {
+			t.Errorf("README armine example names no subcommand\n  in: %s", cmd)
+			continue
 		}
 		for _, m := range flagToken.FindAllStringSubmatch(cmd, -1) {
 			name := m[1]
@@ -103,7 +107,6 @@ func TestDocCommentFlagsExist(t *testing.T) {
 	sets := map[string]*flag.FlagSet{
 		"mine":    newMineFlags(io.Discard).fs,
 		"serve":   newServeFlags(io.Discard).fs,
-		"bench":   newBenchFlags(io.Discard).fs,
 		"convert": newConvertFlags(io.Discard).fs,
 	}
 	checked := 0
@@ -121,10 +124,9 @@ func TestDocCommentFlagsExist(t *testing.T) {
 		}
 		if sub == "" {
 			if strings.Contains(line, "armine -") {
-				sub = "mine"
-			} else {
-				continue
+				t.Errorf("doc comment example names no subcommand\n  in: %s", line)
 			}
+			continue
 		}
 		for _, m := range flagToken.FindAllStringSubmatch(line, -1) {
 			if m[1] == "h" {

@@ -256,6 +256,7 @@ func TestManifestValidation(t *testing.T) {
 		"unknown field":    func(s string) string { return strings.Replace(s, `"format": 1`, `"format": 1, "extra": true`, 1) },
 		"wrong seg name":   func(s string) string { return strings.Replace(s, "seg-00000001.arm", "seg-00000009.arm", 1) },
 		"negative records": func(s string) string { return strings.Replace(s, `"records": 32`, `"records": -32`, 1) },
+		"trailing data":    func(s string) string { return s + `{"garbage": 1} trailing` },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -109,6 +111,47 @@ func FuzzSegmentCodec(f *testing.F) {
 					t.Fatalf("validate accepted mismatched record total")
 				}
 			}
+		}
+	})
+}
+
+// FuzzManifest writes arbitrary bytes as MANIFEST.json over a valid
+// store's segment files. Open must never panic, and any manifest it
+// accepts must be exactly one JSON object (no trailing data) that
+// passes validate. Inputs run one at a time per process, so they share
+// one store directory.
+func FuzzManifest(f *testing.F) {
+	dir := filepath.Join(f.TempDir(), "store")
+	if _, err := Create(dir, strings.NewReader(randCSV(9, 40, 2)), Options{SegRecords: 16}); err != nil {
+		f.Fatal(err)
+	}
+	manPath := filepath.Join(dir, ManifestName)
+	orig, err := os.ReadFile(manPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	man := string(orig)
+	f.Add([]byte(man))
+	f.Add([]byte(man + `{"garbage": 1} trailing`))
+	f.Add([]byte(man + "}"))
+	f.Add([]byte(man[:len(man)/2]))
+	f.Add([]byte(strings.Replace(man, `"num_records": 40`, `"num_records": 32`, 1)))
+	f.Add([]byte("null"))
+
+	f.Fuzz(func(t *testing.T, manData []byte) {
+		if err := os.WriteFile(manPath, manData, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			return
+		}
+		if err := st.man.validate(); err != nil {
+			t.Fatalf("Open accepted a manifest that fails validate: %v", err)
+		}
+		var whole manifest
+		if err := json.Unmarshal(manData, &whole); err != nil {
+			t.Fatalf("Open accepted a manifest that is not one JSON value: %v", err)
 		}
 	})
 }

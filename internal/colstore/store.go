@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -275,10 +276,15 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{dir: dir}
-	dec := json.NewDecoder(newStrictReader(data))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s.man); err != nil {
 		return nil, fmt.Errorf("colstore: parsing %s: %w", ManifestName, err)
+	}
+	// Decode reads one value; anything but whitespace after it is a
+	// corrupt manifest, not a suffix to ignore.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("colstore: parsing %s: trailing data after the manifest object", ManifestName)
 	}
 	if err := s.man.validate(); err != nil {
 		return nil, err
@@ -289,26 +295,6 @@ func Open(dir string) (*Store, error) {
 	}
 	s.schema, s.classCounts = schema, counts
 	return s, nil
-}
-
-// newStrictReader wraps manifest bytes for decoding. (A plain bytes
-// reader; kept as a hook for size limits if manifests ever grow.)
-func newStrictReader(data []byte) io.Reader {
-	return &byteReader{data: data}
-}
-
-type byteReader struct {
-	data []byte
-	off  int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
 }
 
 // replaySegments walks the manifest's segments in order, validating the

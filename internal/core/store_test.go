@@ -77,7 +77,7 @@ func TestStoreSessionMatchesInMemory(t *testing.T) {
 					Workers:      workers,
 					Shards:       shards,
 				}
-				label := fmt.Sprintf("opt=%v workers=%d shards=%d", opt.Name(), workers, shards)
+				label := fmt.Sprintf("opt=%v workers=%d shards=%d", opt, workers, shards)
 				want, err := memSess.Run(cfg)
 				if err != nil {
 					t.Fatalf("%s: in-memory: %v", label, err)

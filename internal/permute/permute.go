@@ -40,7 +40,6 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -88,40 +87,6 @@ func (o OptLevel) String() string {
 // WantDiffsets reports whether trees consumed under this level should be
 // mined with Diffset storage.
 func (o OptLevel) WantDiffsets() bool { return o >= OptDiffsets }
-
-// Name returns the level's short machine-readable name, the form ParseOpt
-// accepts and BENCH_<rev>.json records.
-func (o OptLevel) Name() string {
-	switch o {
-	case OptNone:
-		return "none"
-	case OptDynamicBuffer:
-		return "dynamic"
-	case OptDiffsets:
-		return "diffsets"
-	case OptStaticBuffer:
-		return "static"
-	default:
-		return fmt.Sprintf("OptLevel(%d)", int(o))
-	}
-}
-
-// ParseOpt maps a case-insensitive short level name — none | dynamic |
-// diffsets | static — to its OptLevel. Surrounding whitespace is ignored.
-func ParseOpt(s string) (OptLevel, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "none":
-		return OptNone, nil
-	case "dynamic":
-		return OptDynamicBuffer, nil
-	case "diffsets":
-		return OptDiffsets, nil
-	case "static":
-		return OptStaticBuffer, nil
-	default:
-		return 0, fmt.Errorf("permute: unknown optimisation level %q (want none|dynamic|diffsets|static)", s)
-	}
-}
 
 // Config configures a permutation run.
 type Config struct {

@@ -79,11 +79,28 @@ type Server struct {
 	shardClient *http.Client
 }
 
+// Connection timeouts for ListenAndServe. A client gets readHeaderTimeout
+// to send its request headers, so a slowloris client trickling header
+// bytes cannot hold connections open, and an idle keep-alive connection
+// is closed after idleTimeout. Bodies and responses are deliberately not
+// bounded (no ReadTimeout/WriteTimeout): large uploads and long
+// permutation runs are legitimately slow, and Options.Timeout already
+// bounds the mining itself.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // New builds a Server over reg. Call Handler for an http.Handler (tests,
 // custom listeners) or ListenAndServe to serve opts.Addr.
 func New(reg *Registry, opts Options) *Server {
 	s := &Server{reg: reg, opts: opts.withDefaults(), shardClient: &http.Client{}}
-	s.http = &http.Server{Addr: s.opts.Addr, Handler: s.Handler()}
+	s.http = &http.Server{
+		Addr:              s.opts.Addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	return s
 }
 

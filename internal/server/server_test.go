@@ -369,6 +369,23 @@ func TestServerTimeout(t *testing.T) {
 	}
 }
 
+// TestServerConnectionTimeouts pins the slowloris guard on the listener
+// ListenAndServe uses: headers and idle keep-alives are bounded, while
+// request bodies and responses are not, because uploads and permutation
+// runs may legitimately take minutes.
+func TestServerConnectionTimeouts(t *testing.T) {
+	s := New(NewRegistry(1, core.CacheLimits{}), Options{Log: log.New(io.Discard, "", 0)})
+	if got := s.http.ReadHeaderTimeout; got != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", got)
+	}
+	if got := s.http.IdleTimeout; got != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", got)
+	}
+	if s.http.ReadTimeout != 0 || s.http.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; both must stay unset", s.http.ReadTimeout, s.http.WriteTimeout)
+	}
+}
+
 // TestServerErrors covers the failure surface: unknown datasets, malformed
 // bodies, invalid enums/limits and pipeline-level config errors, each with
 // the right status code and a JSON error body.
