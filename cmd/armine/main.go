@@ -234,9 +234,13 @@ func runMine(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Validate the whole method list up front — before any dataset load or
-	// mining — so a typo in -methods fails fast instead of surfacing after
-	// minutes of work (and never leaks into a -json stream).
+	// Validate the permutation budget and the whole method list up front —
+	// before any dataset load or mining — so a typo fails fast instead of
+	// surfacing after minutes of work (and never leaks into a -json
+	// stream).
+	if *f.perms < 0 {
+		return fmt.Errorf("-perms must be >= 0 (0 picks the default 1000), got %d", *f.perms)
+	}
 	names := []string{*f.method}
 	if *f.methods != "" {
 		names = strings.Split(*f.methods, ",")

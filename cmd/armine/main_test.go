@@ -114,6 +114,21 @@ func TestMineMethodsRejectedUpFront(t *testing.T) {
 	if code := realMain([]string{"mine", "-in", "/nonexistent/file.csv", "-minsup", "5", "-methods", "direct,"}, &stdout, &stderr); code != 1 {
 		t.Errorf("trailing comma exit = %d, want 1 (empty tokens must not be silently skipped)", code)
 	}
+	// A negative permutation budget fails before the load too, fixed or
+	// adaptive, naming the flag rather than an engine internal.
+	for _, args := range [][]string{
+		{"-method", "permutation", "-perms", "-5"},
+		{"-method", "permutation", "-adaptive", "-perms", "-5"},
+	} {
+		stderr.Reset()
+		args = append([]string{"mine", "-in", "/nonexistent/file.csv", "-minsup", "5"}, args...)
+		if code := realMain(args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit = %d, want 1", args, code)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "-perms") || strings.Contains(msg, "no such file") {
+			t.Errorf("%v: error %q does not reject -perms before the dataset load", args, msg)
+		}
+	}
 }
 
 // TestMineJSONOutput runs a real -json mine and checks stdout is exactly

@@ -190,3 +190,26 @@ func TestAdaptiveNormalization(t *testing.T) {
 		t.Errorf("zero Adaptive should stay zero, got %+v", z)
 	}
 }
+
+// TestPermutationRuleFreeNull pins the null of a run that tests no rule:
+// every permutation's minimum over the empty rule set is 1, so the FWER
+// cut-off is 1 for a fixed run and for a retirement-disabled adaptive run
+// of the same budget alike — the one-round and multi-round schedules of
+// one driver must not disagree on the degenerate input either.
+func TestPermutationRuleFreeNull(t *testing.T) {
+	sess := NewSession(adaptiveDataset(t).Data)
+	for _, cfg := range []Config{
+		{Permutations: 200},
+		{Adaptive: permute.Adaptive{MinPerms: 50, MaxPerms: 200, Exceedances: -1}},
+	} {
+		cfg.MinSup, cfg.Method, cfg.Seed = 100000, MethodPermutation, 3
+		res, err := sess.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumTested != 0 || res.Cutoff != 1 {
+			t.Errorf("adaptive=%v: %d tested, cutoff %g; want 0 tested under the all-ones null cutoff 1",
+				cfg.Adaptive.Enabled(), res.NumTested, res.Cutoff)
+		}
+	}
+}

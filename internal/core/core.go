@@ -241,6 +241,12 @@ func (c Config) withDefaults(n int) (Config, error) {
 			c.MinSup = 1
 		}
 	}
+	if c.Permutations < 0 {
+		return c, fmt.Errorf("core: Permutations must be >= 0 (0 picks 1000), got %d", c.Permutations)
+	}
+	if c.Adaptive.MaxPerms < 0 {
+		return c, fmt.Errorf("core: Adaptive.MaxPerms must be >= 0 (0 disables adaptive mode), got %d", c.Adaptive.MaxPerms)
+	}
 	if c.Permutations == 0 {
 		c.Permutations = 1000
 	}
@@ -346,7 +352,7 @@ func RunContext(ctx context.Context, d *dataset.Dataset, cfg Config) (*Result, e
 // runCorrection applies the configured multiple-testing correction to the
 // scored rule set. It never mutates tree or rules, which may be shared
 // across concurrent runs of one Session. The second result carries the
-// adaptive engine's telemetry and is nil for every non-adaptive method.
+// adaptive schedule's telemetry and is nil for every non-adaptive run.
 func runCorrection(ctx context.Context, cfg Config, tree *mining.Tree, rules []mining.Rule) (*correction.Outcome, *PermStats, error) {
 	ps := make([]float64, len(rules))
 	for i := range rules {
@@ -371,36 +377,15 @@ func runCorrection(ctx context.Context, cfg Config, tree *mining.Tree, rules []m
 		}
 		return correction.BenjaminiHochberg(ps, len(ps), cfg.Alpha), nil, nil
 	case MethodPermutation:
-		src, err := cfg.permSource(ctx, tree, rules)
+		res, err := cfg.runNull(ctx, tree, rules, cfg.Control == ControlFDR)
 		if err != nil {
 			return nil, nil, err
 		}
-		if cfg.Adaptive.Enabled() {
-			return runAdaptiveCorrection(src, cfg, rules)
-		}
-		var outcome *correction.Outcome
-		if cfg.Control == ControlFWER {
-			outcome = correction.PermFWER(src, rules, cfg.Alpha)
-		} else {
-			outcome = correction.PermFDR(src, rules, cfg.Alpha)
-		}
-		if err := src.Err(); err != nil {
-			return nil, nil, err
-		}
-		return outcome, nil, nil
+		outcome, pstats := permOutcome(cfg, res, rules)
+		return outcome, pstats, nil
 	default:
 		return nil, nil, fmt.Errorf("core: unknown method %d", cfg.Method)
 	}
-}
-
-// permRunner is the engine-shaped surface the permutation correction paths
-// consume, satisfied by both *permute.Engine and the sharded *shard.Bound
-// — the byte-identity contract (DESIGN.md §10) is precisely that swapping
-// one for the other never changes an output bit.
-type permRunner interface {
-	correction.NullSource
-	RunAdaptive(permute.AdaptiveMode, float64) (*permute.AdaptiveResult, error)
-	Err() error
 }
 
 // shardCount normalizes the requested fan-out: the explicit worker count
@@ -415,92 +400,102 @@ func (c Config) shardCount() int {
 	return 0
 }
 
-// permSource builds cfg's permutation null source over the scored rules: a
-// single-node engine, or — when sharding is requested — a shard
-// coordinator bound to ctx. The default in-process workers share one
-// engine built with DeferLabels, so shard dispatch decides which label
-// blocks ever materialise; explicit ShardWorkers (the server's HTTP peers)
-// take precedence and each evaluate their spans remotely.
-func (c Config) permSource(ctx context.Context, tree *mining.Tree, rules []mining.Rule) (permRunner, error) {
+// schedule returns the permutation round schedule of a normalized config:
+// the configured adaptive one, or — for a fixed run of Permutations — the
+// one-round schedule over [0, Permutations) in which nothing retires.
+// Either way the permutations run through permute.DriveAdaptive, so a
+// fixed run and a retirement-disabled adaptive run of the same budget
+// agree bit for bit (DESIGN.md §7).
+func (c Config) schedule() permute.Adaptive {
+	if c.Adaptive.Enabled() {
+		return c.Adaptive
+	}
+	return permute.Adaptive{MinPerms: c.Permutations, MaxPerms: c.Permutations, Exceedances: -1}
+}
+
+// permSource builds cfg's permutation round runner over the scored rules:
+// a single-node engine's ShardSpan, or — when sharding is requested — a
+// shard coordinator's Span bound to ctx. The engine defers its labels, so
+// each span builds only the label block it evaluates (the full range
+// memoises one). The default in-process shard workers share one such
+// engine; explicit ShardWorkers (the server's HTTP peers) take precedence
+// and each evaluate their spans remotely.
+func (c Config) permSource(ctx context.Context, tree *mining.Tree, rules []mining.Rule) (permute.RoundRunner, error) {
 	workers := c.ShardWorkers
-	if len(workers) == 0 && c.Shards > 1 {
-		pcfg := c.permConfig(ctx)
-		pcfg.DeferLabels = true
-		e, err := permute.NewEngine(tree, rules, pcfg)
+	if len(workers) == 0 {
+		e, err := permute.NewEngine(tree, rules, c.permConfig(ctx))
 		if err != nil {
 			return nil, err
+		}
+		if c.Shards <= 1 {
+			return e.ShardSpan, nil
 		}
 		workers = make([]shard.Worker, c.Shards)
 		for i := range workers {
 			workers[i] = shard.NewLocal(e)
 		}
 	}
-	if len(workers) == 0 {
-		return permute.NewEngine(tree, rules, c.permConfig(ctx))
-	}
-	ps := make([]float64, len(rules))
-	for i := range rules {
-		ps[i] = rules[i].P
-	}
-	coord, err := shard.NewCoordinator(workers, ps, c.Permutations, c.Adaptive)
+	coord, err := shard.NewCoordinator(workers, len(rules))
 	if err != nil {
 		return nil, err
 	}
-	return shard.Bind(coord, ctx), nil
+	return func(lo, hi int, live []bool, withPool bool) (*permute.ShardStats, error) {
+		return coord.Span(ctx, lo, hi, live, withPool)
+	}, nil
 }
 
 // permConfig derives the permutation engine configuration of a normalized
-// Config.
+// Config: the schedule's full budget, with labels deferred to the spans.
 func (c Config) permConfig(ctx context.Context) permute.Config {
 	return permute.Config{
-		NumPerms:     c.Permutations,
+		NumPerms:     c.schedule().MaxPerms,
 		Seed:         c.Seed,
 		Opt:          c.Opt,
 		StaticBudget: c.StaticBudget,
 		Workers:      c.Workers,
 		Test:         c.Test,
-		Adaptive:     c.Adaptive,
+		DeferLabels:  true,
 		Ctx:          ctx,
 	}
 }
 
-// adaptiveMode maps the configured control to the engine's retirement
-// statistic.
-func (c Config) adaptiveMode() permute.AdaptiveMode {
-	if c.Control == ControlFDR {
-		return permute.AdaptFDR
-	}
-	return permute.AdaptFWER
-}
-
-// runAdaptiveCorrection executes the adaptive permutation schedule on an
-// already-built null source and derives the configured outcome.
-func runAdaptiveCorrection(engine permRunner, cfg Config, rules []mining.Rule) (*correction.Outcome, *PermStats, error) {
-	res, err := engine.RunAdaptive(cfg.adaptiveMode(), cfg.Alpha)
+// runNull runs cfg's permutation schedule over the scored rules and
+// returns the null statistics. pool asks the walk to accumulate the
+// pooled histogram FDR consumes (AdaptFDR); without it the walk keeps
+// only the per-permutation minima FWER needs. Under an adaptive schedule
+// the mode also selects the retirement statistic, so it must match the
+// config's control; a fixed schedule retires nothing, and one pooled walk
+// serves FWER and FDR configs alike.
+func (c Config) runNull(ctx context.Context, tree *mining.Tree, rules []mining.Rule, pool bool) (*permute.AdaptiveResult, error) {
+	run, err := c.permSource(ctx, tree, rules)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	outcome, pstats := adaptiveOutcome(cfg, res, rules)
-	return outcome, pstats, nil
+	ps := make([]float64, len(rules))
+	for i := range rules {
+		ps[i] = rules[i].P
+	}
+	mode := permute.AdaptFWER
+	if pool {
+		mode = permute.AdaptFDR
+	}
+	return permute.DriveAdaptive(ps, c.schedule(), mode, c.Alpha, run)
 }
 
-// adaptiveOutcome derives one config's correction outcome and telemetry
-// from an adaptive engine result — shared by single runs and batch
-// groups so the two paths cannot diverge.
-func adaptiveOutcome(cfg Config, res *permute.AdaptiveResult, rules []mining.Rule) (*correction.Outcome, *PermStats) {
+// permOutcome derives one config's correction outcome and telemetry from
+// a permutation null — shared by single runs and batch groups so the two
+// paths cannot diverge. The telemetry is nil for fixed runs.
+func permOutcome(cfg Config, res *permute.AdaptiveResult, rules []mining.Rule) (*correction.Outcome, *PermStats) {
 	var outcome *correction.Outcome
 	if cfg.Control == ControlFWER {
 		outcome = correction.AdaptivePermFWER(res, rules, cfg.Alpha)
 	} else {
 		outcome = correction.AdaptivePermFDR(res, rules, cfg.Alpha)
 	}
-	return outcome, permStatsOf(cfg, res)
-}
-
-// permStatsOf converts the engine's adaptive result into the user-facing
-// telemetry.
-func permStatsOf(cfg Config, res *permute.AdaptiveResult) *PermStats {
-	return &PermStats{
+	if !cfg.Adaptive.Enabled() {
+		return outcome, nil
+	}
+	return outcome, &PermStats{
 		Rounds:       res.Rounds,
 		PermsRun:     res.PermsRun,
 		MaxPerms:     cfg.Adaptive.MaxPerms,

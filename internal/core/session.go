@@ -746,15 +746,15 @@ func (s *Session) RunBatch(ctx context.Context, cfgs []Config) ([]*Result, error
 	return results, nil
 }
 
-// runPermGroup evaluates several permutation configs on one shared
-// engine. The engine's MinP/CountLE walks are per-correction either way;
-// sharing saves the label-matrix fill and index construction. Results are
-// byte-identical to per-config engines because the engine is fully
-// determined by (tree, rules, NumPerms, Seed, Opt, StaticBudget, Test)
-// and its walks are deterministic for every worker count. Adaptive groups
-// additionally share one RunAdaptive execution — their permKey pins
-// control and alpha, so every config in the group wants the same
-// schedule.
+// runPermGroup evaluates several permutation configs on one shared null:
+// one engine (or coordinator), one label block and one walk per round
+// serve every config in the group — the paper's FWER/FDR pairing takes a
+// single walk that keeps both the minima and the pooled histogram.
+// Results are byte-identical to per-config runs because the null is fully
+// determined by the permKey (tree, rules, budget, Seed, Opt,
+// StaticBudget, Test, and for adaptive schedules the control and alpha
+// that drive retirement) and its walks are deterministic for every
+// worker count.
 func (s *Session) runPermGroup(ctx context.Context, norm []Config, idxs []int, rs ruleStage, results []*Result, errs []error) {
 	fail := func(err error) {
 		for _, i := range idxs {
@@ -766,46 +766,27 @@ func (s *Session) runPermGroup(ctx context.Context, norm []Config, idxs []int, r
 		return
 	}
 	cfg0 := norm[idxs[0]]
+	pool := false
+	for _, i := range idxs {
+		pool = pool || norm[i].Control == ControlFDR
+	}
 	start := time.Now()
-	engine, err := cfg0.permSource(ctx, rs.tree.tree, rs.rules)
+	res, err := cfg0.runNull(ctx, rs.tree.tree, rs.rules, pool)
 	if err != nil {
 		fail(err)
-		return
-	}
-	if cfg0.Adaptive.Enabled() {
-		res, err := engine.RunAdaptive(cfg0.adaptiveMode(), cfg0.Alpha)
-		if err != nil {
-			fail(err)
-			return
-		}
-		engineDur := time.Since(start)
-		s.adaptiveRuns.Add(1)
-		s.permsSaved.Add(res.PermsSaved)
-		for _, i := range idxs {
-			cfg := norm[i]
-			correct := time.Now()
-			outcome, pstats := adaptiveOutcome(cfg, res, rs.rules)
-			s.corrections.Add(1)
-			results[i] = s.assemble(cfg, rs, outcome, pstats, engineDur+time.Since(correct))
-		}
 		return
 	}
 	engineDur := time.Since(start)
 	for _, i := range idxs {
 		cfg := norm[i]
 		correct := time.Now()
-		var outcome *correction.Outcome
-		if cfg.Control == ControlFWER {
-			outcome = correction.PermFWER(engine, rs.rules, cfg.Alpha)
-		} else {
-			outcome = correction.PermFDR(engine, rs.rules, cfg.Alpha)
-		}
-		if err := engine.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
+		outcome, pstats := permOutcome(cfg, res, rs.rules)
 		s.corrections.Add(1)
-		results[i] = s.assemble(cfg, rs, outcome, nil, engineDur+time.Since(correct))
+		results[i] = s.assemble(cfg, rs, outcome, pstats, engineDur+time.Since(correct))
+	}
+	if cfg0.Adaptive.Enabled() {
+		s.adaptiveRuns.Add(1)
+		s.permsSaved.Add(res.PermsSaved)
 	}
 }
 
@@ -830,9 +811,7 @@ func (s *Session) ShardSpan(ctx context.Context, cfg Config, req shard.Request) 
 	if err != nil {
 		return nil, err
 	}
-	pcfg := cfg.permConfig(ctx)
-	pcfg.DeferLabels = true
-	engine, err := permute.NewEngine(rs.tree.tree, rs.rules, pcfg)
+	engine, err := permute.NewEngine(rs.tree.tree, rs.rules, cfg.permConfig(ctx))
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/mining"
+	"repro/internal/permute"
 )
 
 // assertSameResult fails unless got is byte-identical to want everywhere
@@ -393,6 +394,22 @@ func TestSessionDefaultCacheLimits(t *testing.T) {
 func TestSessionBatchErrors(t *testing.T) {
 	res := signalDataset(t, 26)
 	sess := NewSession(res.Data)
+	// Negative permutation budgets are config errors, rejected before any
+	// stage runs — fixed and adaptive alike.
+	for _, bad := range []Config{
+		{MinSup: 100, Method: MethodPermutation, Permutations: -5},
+		{MinSup: 100, Method: MethodPermutation, Adaptive: permute.Adaptive{MaxPerms: -5}},
+	} {
+		if _, err := sess.RunBatch(context.Background(), []Config{{MinSup: 100, Method: MethodDirect}, bad}); err == nil {
+			t.Fatalf("negative budget %+v accepted", bad)
+		}
+		if _, err := sess.Run(bad); err == nil {
+			t.Fatalf("negative budget %+v accepted by Run", bad)
+		}
+	}
+	if st := sess.Stats(); st.Encodes != 0 || st.Mines != 0 || st.Scores != 0 {
+		t.Fatalf("a rejected budget ran stages: %+v", st)
+	}
 	_, err := sess.RunBatch(context.Background(), []Config{
 		{MinSup: 100, Method: MethodDirect},
 		{MinSup: 100, Alpha: 2, Method: MethodDirect},

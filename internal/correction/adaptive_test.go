@@ -2,6 +2,8 @@ package correction
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -34,32 +36,24 @@ func adaptiveCase(t *testing.T, seed uint64, n, attrs, minSup int, diffsets bool
 	return tree, rules
 }
 
-func sameOutcome(t *testing.T, label string, got, want *Outcome) {
-	t.Helper()
-	if got.Cutoff != want.Cutoff {
-		t.Errorf("%s: cutoff %g != %g", label, got.Cutoff, want.Cutoff)
-	}
-	if len(got.Significant) != len(want.Significant) {
-		t.Fatalf("%s: %d significant != %d", label, len(got.Significant), len(want.Significant))
-	}
-	for i := range got.Significant {
-		if got.Significant[i] != want.Significant[i] {
-			t.Fatalf("%s: significant[%d] = %d != %d", label, i, got.Significant[i], want.Significant[i])
-		}
-	}
-}
-
 // TestAdaptiveNoRetireByteIdentical pins the tentpole contract: an
 // adaptive run with retirement disabled (Exceedances < 0) is byte-
 // identical to a fixed run of the same budget — per-permutation min-p,
 // pooled counts and both correction outcomes — at every optimisation
 // level and worker count, because every permutation derives its labels
-// from (Seed, perm-index) regardless of round boundaries.
+// from (Seed, perm-index) regardless of round boundaries. Two schedules
+// run: a multi-round one on an adaptive engine, and the one-round
+// schedule Adaptive{N, N, -1} driven over a deferred-label engine's
+// ShardSpan — the way core runs every fixed permutation correction.
 func TestAdaptiveNoRetireByteIdentical(t *testing.T) {
 	const maxPerms = 120
 	const alpha = 0.05
 	for _, opt := range []permute.OptLevel{permute.OptNone, permute.OptDynamicBuffer, permute.OptDiffsets, permute.OptStaticBuffer} {
 		tree, rules := adaptiveCase(t, 5, 300, 8, 20, opt.WantDiffsets())
+		ps := make([]float64, len(rules))
+		for i := range rules {
+			ps[i] = rules[i].P
+		}
 		for _, workers := range []int{1, 3} {
 			fixed, err := permute.NewEngine(tree, rules, permute.Config{
 				NumPerms: maxPerms, Seed: 9, Opt: opt, Workers: workers,
@@ -67,48 +61,74 @@ func TestAdaptiveNoRetireByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mkAdaptive := func(mode permute.AdaptiveMode) *permute.AdaptiveResult {
-				adaptive, err := permute.NewEngine(tree, rules, permute.Config{
-					Seed: 9, Opt: opt, Workers: workers,
-					Adaptive: permute.Adaptive{MinPerms: 16, MaxPerms: maxPerms, Exceedances: -1},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := adaptive.RunAdaptive(mode, alpha)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.PermsRun != maxPerms || res.Rounds < 2 {
-					t.Fatalf("opt=%v: PermsRun=%d Rounds=%d, want full budget over several rounds", opt, res.PermsRun, res.Rounds)
-				}
-				if res.RulesRetired != 0 || res.PermsSaved != 0 {
-					t.Fatalf("opt=%v: retirement disabled but %d retired, %d saved", opt, res.RulesRetired, res.PermsSaved)
-				}
-				return res
-			}
-			fres := mkAdaptive(permute.AdaptFWER)
 			wantMinP := fixed.MinP()
-			for j := range wantMinP {
-				if fres.MinP[j] != wantMinP[j] {
-					t.Fatalf("opt=%v workers=%d perm %d: adaptive MinP %g != fixed %g",
-						opt, workers, j, fres.MinP[j], wantMinP[j])
-				}
-			}
-			sameOutcome(t, "FWER", AdaptivePermFWER(fres, rules, alpha), PermFWER(fixed, rules, alpha))
-
-			dres := mkAdaptive(permute.AdaptFDR)
 			wantLE := fixed.CountLE()
-			for i := range wantLE {
-				if dres.PoolLE[i] != wantLE[i] {
-					t.Fatalf("opt=%v workers=%d rule %d: adaptive PoolLE %d != fixed CountLE %d",
-						opt, workers, i, dres.PoolLE[i], wantLE[i])
+			wantFWER, wantFDR := PermFWER(fixed, rules, alpha), PermFDR(fixed, rules, alpha)
+			for _, sched := range []struct {
+				name string
+				run  func(mode permute.AdaptiveMode) (*permute.AdaptiveResult, error)
+				// oneRound marks the fixed schedule; the other must span
+				// several rounds.
+				oneRound bool
+			}{
+				{"multi-round", func(mode permute.AdaptiveMode) (*permute.AdaptiveResult, error) {
+					adaptive, err := permute.NewEngine(tree, rules, permute.Config{
+						Seed: 9, Opt: opt, Workers: workers,
+						Adaptive: permute.Adaptive{MinPerms: 16, MaxPerms: maxPerms, Exceedances: -1},
+					})
+					if err != nil {
+						return nil, err
+					}
+					return adaptive.RunAdaptive(mode, alpha)
+				}, false},
+				{"one-round", func(mode permute.AdaptiveMode) (*permute.AdaptiveResult, error) {
+					e, err := permute.NewEngine(tree, rules, permute.Config{
+						NumPerms: maxPerms, Seed: 9, Opt: opt, Workers: workers, DeferLabels: true,
+					})
+					if err != nil {
+						return nil, err
+					}
+					one := permute.Adaptive{MinPerms: maxPerms, MaxPerms: maxPerms, Exceedances: -1}
+					return permute.DriveAdaptive(ps, one, mode, alpha, e.ShardSpan)
+				}, true},
+			} {
+				label := fmt.Sprintf("opt=%v workers=%d %s", opt, workers, sched.name)
+				check := func(mode permute.AdaptiveMode) *permute.AdaptiveResult {
+					res, err := sched.run(mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.PermsRun != maxPerms || (res.Rounds == 1) != sched.oneRound || res.Rounds < 1 {
+						t.Fatalf("%s: PermsRun=%d Rounds=%d, want the full budget over the schedule's rounds",
+							label, res.PermsRun, res.Rounds)
+					}
+					if res.RulesRetired != 0 || res.PermsSaved != 0 {
+						t.Fatalf("%s: retirement disabled but %d retired, %d saved", label, res.RulesRetired, res.PermsSaved)
+					}
+					if want := int64(maxPerms) * int64(len(rules)); res.TotalSamples != want {
+						t.Fatalf("%s: TotalSamples %d != %d", label, res.TotalSamples, want)
+					}
+					for j := range wantMinP {
+						if res.MinP[j] != wantMinP[j] {
+							t.Fatalf("%s perm %d: adaptive MinP %g != fixed %g", label, j, res.MinP[j], wantMinP[j])
+						}
+					}
+					return res
+				}
+				if got := AdaptivePermFWER(check(permute.AdaptFWER), rules, alpha); !reflect.DeepEqual(got, wantFWER) {
+					t.Fatalf("%s: FWER outcome %+v != fixed %+v", label, got, wantFWER)
+				}
+
+				dres := check(permute.AdaptFDR)
+				for i := range wantLE {
+					if dres.PoolLE[i] != wantLE[i] {
+						t.Fatalf("%s rule %d: adaptive PoolLE %d != fixed CountLE %d", label, i, dres.PoolLE[i], wantLE[i])
+					}
+				}
+				if got := AdaptivePermFDR(dres, rules, alpha); !reflect.DeepEqual(got, wantFDR) {
+					t.Fatalf("%s: FDR outcome %+v != fixed %+v", label, got, wantFDR)
 				}
 			}
-			if want := int64(maxPerms) * int64(len(rules)); dres.TotalSamples != want {
-				t.Fatalf("opt=%v: TotalSamples %d != %d", opt, dres.TotalSamples, want)
-			}
-			sameOutcome(t, "FDR", AdaptivePermFDR(dres, rules, alpha), PermFDR(fixed, rules, alpha))
 		}
 	}
 }
@@ -242,28 +262,5 @@ func TestAdaptiveContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := e.RunAdaptive(permute.AdaptFWER, 0.05); err != context.Canceled {
 		t.Fatalf("RunAdaptive err = %v, want context.Canceled", err)
-	}
-}
-
-// TestEmpiricalP covers the per-rule empirical p-value helpers.
-func TestEmpiricalP(t *testing.T) {
-	counts := []int64{5, 0, 100}
-	samples := []int64{100, 0, 100}
-	ps := EmpiricalP(counts, samples)
-	if ps[0] != 0.05 || ps[1] != 1 || ps[2] != 1 {
-		t.Errorf("EmpiricalP = %v, want [0.05 1 1]", ps)
-	}
-	ups := EmpiricalPUpper(counts, samples, 1.96)
-	if ups[0] <= ps[0] || ups[0] > 1 {
-		t.Errorf("upper bound %g should exceed the point estimate %g", ups[0], ps[0])
-	}
-	if ups[1] != 1 {
-		t.Errorf("zero samples should give the vacuous bound 1, got %g", ups[1])
-	}
-	// The Wilson upper bound at count 0 must stay informative (strictly
-	// between 0 and 1).
-	z := EmpiricalPUpper([]int64{0}, []int64{50}, 1.96)
-	if z[0] <= 0 || z[0] >= 1 {
-		t.Errorf("Wilson upper bound at 0/50 = %g, want within (0,1)", z[0])
 	}
 }

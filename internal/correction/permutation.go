@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mining"
 	"repro/internal/permute"
-	"repro/internal/stats"
 )
 
 // PermFWERCutoff derives the FWER-controlling cut-off from the per-
@@ -26,10 +25,12 @@ func PermFWERCutoff(minP []float64, alpha float64) float64 {
 	return sorted[k-1]
 }
 
-// NullSource supplies the permutation null statistics the correction
-// procedures consume. *permute.Engine is the single-node source; the
-// distributed coordinator adapter (internal/shard) provides the same
-// surface over merged shard replies, byte-identical by construction.
+// NullSource supplies the permutation null statistics the fixed-run
+// correction procedures consume; *permute.Engine is the source. Both
+// statistics come out of the engine's one walk (Engine.ShardSpan), the
+// same walk every permute.DriveAdaptive round runs, so PermFWER/PermFDR
+// and AdaptivePermFWER/AdaptivePermFDR over a one-round schedule agree
+// bit for bit.
 type NullSource interface {
 	// MinP returns the per-permutation minimum p-values.
 	MinP() []float64
@@ -44,41 +45,21 @@ type NullSource interface {
 // distribution with the engine, derive the cut-off, and mark the rules at
 // or below it.
 func PermFWER(engine NullSource, rules []mining.Rule, alpha float64) *Outcome {
-	minP := engine.MinP()
-	cutoff := PermFWERCutoff(minP, alpha)
-	o := &Outcome{Method: "Perm_FWER", Alpha: alpha, NumTests: len(rules), Cutoff: cutoff}
-	if cutoff < 0 {
-		return o
-	}
-	for i := range rules {
-		if rules[i].P <= cutoff {
-			o.Significant = append(o.Significant, i)
-		}
-	}
-	return o
+	return fwerOutcome(engine.MinP(), rules, alpha)
 }
 
 // PermAdjustedP converts pooled ≤-counts into the empirical adjusted
 // p-values of §4.2: p_adj(R) = |{p' : p' <= p(R)}| / (N·Nt), where the
 // pool holds all Nt rules' p-values on all N permutations.
 func PermAdjustedP(countLE []int64, numPerms, numTests int) []float64 {
-	den := float64(numPerms) * float64(numTests)
-	out := make([]float64, len(countLE))
-	for i, c := range countLE {
-		out[i] = float64(c) / den
-	}
-	return out
+	return adjustedP(countLE, float64(numPerms)*float64(numTests))
 }
 
 // PermFDR runs the full permutation FDR procedure (§4.2): each rule's
 // p-value is replaced by its pooled empirical adjusted p-value, then
 // Benjamini–Hochberg is applied to the adjusted values at level alpha.
 func PermFDR(engine NullSource, rules []mining.Rule, alpha float64) *Outcome {
-	adj := PermAdjustedP(engine.CountLE(), engine.NumPerms(), len(rules))
-	o := BenjaminiHochberg(adj, len(rules), alpha)
-	o.Method = "Perm_FDR"
-	o.NumTests = len(rules)
-	return o
+	return fdrOutcome(PermAdjustedP(engine.CountLE(), engine.NumPerms(), len(rules)), rules, alpha)
 }
 
 // AdaptivePermFWER derives the Westfall–Young FWER outcome of an adaptive
@@ -87,17 +68,7 @@ func PermFDR(engine NullSource, rules []mining.Rule, alpha float64) *Outcome {
 // PermFWER uses. When the run retired nothing, the outcome is
 // byte-identical to PermFWER over a fixed run of the same budget.
 func AdaptivePermFWER(res *permute.AdaptiveResult, rules []mining.Rule, alpha float64) *Outcome {
-	cutoff := PermFWERCutoff(res.MinP, alpha)
-	o := &Outcome{Method: "Perm_FWER", Alpha: alpha, NumTests: len(rules), Cutoff: cutoff}
-	if cutoff < 0 {
-		return o
-	}
-	for i := range rules {
-		if rules[i].P <= cutoff {
-			o.Significant = append(o.Significant, i)
-		}
-	}
-	return o
+	return fwerOutcome(res.MinP, rules, alpha)
 }
 
 // AdaptivePermFDR derives the pooled empirical FDR outcome of an adaptive
@@ -112,55 +83,39 @@ func AdaptivePermFDR(res *permute.AdaptiveResult, rules []mining.Rule, alpha flo
 	if res.Mode != permute.AdaptFDR {
 		panic("correction: AdaptivePermFDR needs a RunAdaptive(AdaptFDR, ...) result")
 	}
-	den := float64(res.TotalSamples)
-	adj := make([]float64, len(res.PoolLE))
-	for i, c := range res.PoolLE {
-		adj[i] = float64(c) / den
+	return fdrOutcome(adjustedP(res.PoolLE, float64(res.TotalSamples)), rules, alpha)
+}
+
+// fwerOutcome marks the rules at or below the min-p null's FWER cut-off —
+// the one body behind PermFWER and AdaptivePermFWER.
+func fwerOutcome(minP []float64, rules []mining.Rule, alpha float64) *Outcome {
+	cutoff := PermFWERCutoff(minP, alpha)
+	o := &Outcome{Method: "Perm_FWER", Alpha: alpha, NumTests: len(rules), Cutoff: cutoff}
+	if cutoff < 0 {
+		return o
 	}
+	for i := range rules {
+		if rules[i].P <= cutoff {
+			o.Significant = append(o.Significant, i)
+		}
+	}
+	return o
+}
+
+// adjustedP divides pooled ≤-counts by the pool size.
+func adjustedP(counts []int64, pool float64) []float64 {
+	out := make([]float64, len(counts))
+	for i, c := range counts {
+		out[i] = float64(c) / pool
+	}
+	return out
+}
+
+// fdrOutcome runs Benjamini–Hochberg on pooled adjusted p-values — the one
+// body behind PermFDR and AdaptivePermFDR.
+func fdrOutcome(adj []float64, rules []mining.Rule, alpha float64) *Outcome {
 	o := BenjaminiHochberg(adj, len(rules), alpha)
 	o.Method = "Perm_FDR"
 	o.NumTests = len(rules)
 	return o
-}
-
-// EmpiricalP returns per-rule empirical p-values from exceedance counts
-// with per-rule sample counts: p̂_i = counts[i]/samples[i]. Rules an
-// adaptive run retired early carry fewer samples than survivors; a zero
-// sample count yields 1 (no evidence either way — the conservative
-// reading). Panics if the slices differ in length.
-func EmpiricalP(counts, samples []int64) []float64 {
-	if len(counts) != len(samples) {
-		panic("correction: EmpiricalP counts/samples length mismatch")
-	}
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		if samples[i] <= 0 {
-			out[i] = 1
-			continue
-		}
-		out[i] = float64(c) / float64(samples[i])
-	}
-	return out
-}
-
-// EmpiricalPUpper returns conservative upper confidence bounds on the
-// per-rule empirical p-values: the Wilson score upper bound at z standard
-// normal units (z = 1.96 for a one-sided 97.5% bound). Use it when acting
-// on a retired rule's coarsely sampled empirical p-value — the bound
-// accounts for how few permutations the estimate rests on. A zero sample
-// count yields 1.
-func EmpiricalPUpper(counts, samples []int64, z float64) []float64 {
-	if len(counts) != len(samples) {
-		panic("correction: EmpiricalPUpper counts/samples length mismatch")
-	}
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		if samples[i] <= 0 {
-			out[i] = 1
-			continue
-		}
-		_, hi := stats.WilsonBounds(c, samples[i], z)
-		out[i] = hi
-	}
-	return out
 }

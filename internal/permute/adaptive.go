@@ -16,6 +16,10 @@ import (
 // always derives from (Seed, j), so the labels an adaptive run evaluates
 // are exactly the prefix a fixed run of MaxPerms would evaluate: an
 // adaptive run that retires nothing is byte-identical to the fixed run.
+// A fixed run of N permutations is itself a schedule of this driver —
+// Adaptive{MinPerms: N, MaxPerms: N, Exceedances: -1}, one round over
+// [0, N) in which nothing retires — which is how core runs every
+// permutation correction.
 
 // Default Adaptive knobs: the first round is DefaultMinPerms permutations,
 // and the soft retirement prong needs at least DefaultExceedances observed
@@ -112,10 +116,6 @@ type AdaptiveResult struct {
 	// during that permutation's round, one entry per executed permutation.
 	// With retirement disabled it equals the fixed engine's MinP.
 	MinP []float64
-	// OwnLE[r] counts rule r's own permutation p-values at or below its
-	// original p-value, over the Samples[r] permutations it was counted on
-	// — the numerator of its per-rule empirical p-value.
-	OwnLE []int64
 	// PoolLE[r] counts the (rule', permutation) p-values in the pool at or
 	// below rule r's original p-value — the numerator of the pooled
 	// empirical adjusted p-value of §4.2. The pool holds every counted
@@ -186,19 +186,15 @@ func (e *Engine) RunAdaptive(mode AdaptiveMode, alpha float64) (*AdaptiveResult,
 	if !e.cfg.Adaptive.Enabled() {
 		return nil, fmt.Errorf("permute: RunAdaptive needs Config.Adaptive.MaxPerms > 0")
 	}
-	return DriveAdaptive(e.origPs(), e.cfg.Adaptive, mode, alpha,
-		func(lo, hi int, live []bool, withPool bool) (*ShardStats, error) {
-			return e.ShardSpan(lo, hi, live, true, withPool)
-		})
+	return DriveAdaptive(e.origPs(), e.cfg.Adaptive, mode, alpha, e.ShardSpan)
 }
 
 // RoundRunner evaluates the permutations [lo, hi) against the rules still
 // live and returns the round's mergeable statistics: per-permutation
-// live-set minima, per-rule own exceedances, and — when withPool is set —
-// the pooled histogram over the sorted original p-values.
-// Engine.ShardSpan is the single-node runner; the distributed coordinator
-// (internal/shard) fans each range out to its workers and merges their
-// replies into the same shape.
+// live-set minima and — when withPool is set — the pooled histogram over
+// the sorted original p-values. Engine.ShardSpan is the single-node
+// runner; the distributed coordinator's Span (internal/shard) fans each
+// range out to its workers and merges their replies into the same shape.
 type RoundRunner func(lo, hi int, live []bool, withPool bool) (*ShardStats, error)
 
 // DriveAdaptive executes RunAdaptive's round schedule over an abstract
@@ -235,7 +231,6 @@ func DriveAdaptive(ps []float64, ad Adaptive, mode AdaptiveMode, alpha float64, 
 		live[i] = true
 	}
 	numLive := nR
-	own := make([]int64, nR)        // per-rule own-exceedance counts, by rule index
 	poolHist := make([]int64, nR+1) // pooled p-values, bucketed over sorted positions
 	minHist := make([]int64, nR+1)  // per-permutation MinP, bucketed over sorted positions
 	samples := make([]int64, nR)    // permutations each rule was counted on
@@ -253,7 +248,9 @@ func DriveAdaptive(ps []float64, ad Adaptive, mode AdaptiveMode, alpha float64, 
 	res := &AdaptiveResult{Mode: mode}
 	permsRun := 0
 	roundLen := ad.MinPerms
-	for permsRun < maxPerms && numLive > 0 {
+	// A rule-free run still executes its rounds, so its minima are the
+	// all-ones null a fixed run reports rather than an empty one.
+	for permsRun < maxPerms && (numLive > 0 || nR == 0) {
 		hi := permsRun + roundLen
 		if hi > maxPerms {
 			hi = maxPerms
@@ -266,9 +263,6 @@ func DriveAdaptive(ps []float64, ad Adaptive, mode AdaptiveMode, alpha float64, 
 			return nil, err
 		}
 		copy(minP[permsRun:hi], st.MinP)
-		for i, c := range st.OwnLE {
-			own[i] += c
-		}
 		if mode == AdaptFDR {
 			for i, c := range st.PoolHist {
 				poolHist[i] += c
@@ -298,7 +292,6 @@ func DriveAdaptive(ps []float64, ad Adaptive, mode AdaptiveMode, alpha float64, 
 	}
 
 	res.MinP = minP[:permsRun]
-	res.OwnLE = own
 	res.PoolLE = make([]int64, nR)
 	res.MinPLE = make([]int64, nR)
 	res.Samples = samples

@@ -6,7 +6,8 @@ import "testing"
 // blocked kernel and the per-worker arenas: once an engine has run once
 // (arenas grown, buffer pools and Fisher scratch warmed, worker states
 // cached), repeated full MinP evaluations allocate only the handful of
-// per-run bookkeeping objects (result slice, visitor, goroutine plumbing)
+// per-run bookkeeping objects (span statistics, visitors, goroutine
+// plumbing)
 // — nothing per node, per rule or per permutation. The bound is
 // deliberately loose against scheduler noise but two orders of magnitude
 // below what any per-node allocation would cost on this tree

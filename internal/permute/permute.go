@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -117,19 +116,20 @@ type Config struct {
 	// ignores Opt's buffering; TestMidP recomputes per evaluation
 	// (expensive, extension only).
 	Test mining.TestKind
-	// DeferLabels skips the fixed-mode label materialisation at
-	// construction: label blocks are built lazily, per ShardSpan range (or
-	// on the first fixed-mode call). Shard workers set it so an engine that
-	// only ever evaluates a slice of the permutation range never pays for
-	// the whole matrix. Results are unaffected — every block derives from
-	// (Seed, absolute index) regardless of when it is built.
+	// DeferLabels skips the full-range label materialisation at
+	// construction: label blocks are built lazily, per ShardSpan range (the
+	// full range [0, NumPerms) builds the engine's one memoised block on
+	// first use). Shard workers and core set it so an engine that only
+	// ever evaluates a slice of the permutation range, or an adaptive
+	// round at a time, never pays for the whole matrix up front. Results
+	// are unaffected — every block derives from (Seed, absolute index)
+	// regardless of when it is built.
 	DeferLabels bool
 	// Adaptive, when Adaptive.MaxPerms > 0, switches the engine into
 	// sequential early-stopping mode (DESIGN.md §7): permutations run in
 	// rounds via RunAdaptive, and NumPerms is ignored in favour of
-	// Adaptive.MaxPerms. The fixed-mode methods (MinP, CountLE, PerRuleLE)
-	// still work on an adaptive engine, evaluating the full MaxPerms
-	// matrix.
+	// Adaptive.MaxPerms. MinP and CountLE still work on an adaptive
+	// engine, evaluating the full MaxPerms range.
 	Adaptive Adaptive
 
 	// elementWalk replaces the blocked kernel with the element-by-element
@@ -156,11 +156,11 @@ func (c Config) withDefaults() Config {
 const stripeWidth = 8
 
 // labelBlock holds the materialised label shuffles of the permutation
-// range [lo, hi). Fixed-mode engines build one block covering every
-// permutation; adaptive rounds build one block per round, so memory is
-// bounded by the round length rather than the whole budget. Permutation
-// j's shuffle always derives from (Seed, j) regardless of which block
-// carries it, so block boundaries never change results.
+// range [lo, hi). A span over the full range uses the engine's one
+// memoised block; adaptive rounds and shards build one block per span, so
+// memory is bounded by the span length rather than the whole budget.
+// Permutation j's shuffle always derives from (Seed, j) regardless of
+// which block carries it, so block boundaries never change results.
 type labelBlock struct {
 	lo, hi int
 	// permLabels is the transposed label matrix of the block:
@@ -235,9 +235,9 @@ type Engine struct {
 
 	n          int
 	numClasses int
-	// lab is the fixed-mode label block covering [0, NumPerms); nil until
-	// built (adaptive engines build per-round blocks instead and only
-	// materialise the full block if a fixed-mode method is called).
+	// lab is the full-range label block covering [0, NumPerms); nil until
+	// built (adaptive and deferred engines build it on the first
+	// full-range span, and per-span blocks otherwise).
 	lab     *labelBlock
 	labOnce sync.Once
 	// words is the bitmap width in uint64s: ceil(n / 64).
@@ -258,8 +258,8 @@ type Engine struct {
 	stFree []*workerState
 
 	// rankOnce memoises the ascending rank of the rules' original p-values
-	// (and the raw p-value slice), shared by CountLE, ShardSpan and the
-	// adaptive driver.
+	// (and the raw p-value slice), shared by every pooled ShardSpan and
+	// RunAdaptive.
 	rankOnce sync.Once
 	rankVal  Rank
 	origVal  []float64
@@ -310,10 +310,10 @@ func shufflePermInto(dst, labels []int32, src *rand.PCG, rng *rand.Rand, seed ui
 }
 
 // NewEngine prepares a permutation run over the given mined tree and rule
-// set. The rules must have been generated from the same tree. In fixed
-// mode the packed label permutation matrix is materialised here; an
-// adaptive engine (Config.Adaptive.MaxPerms > 0) defers it to the
-// per-round blocks of RunAdaptive.
+// set. The rules must have been generated from the same tree. The packed
+// label permutation matrix is materialised here unless the engine is
+// adaptive (Config.Adaptive.MaxPerms > 0) or DeferLabels is set; those
+// build their label blocks per ShardSpan.
 func NewEngine(tree *mining.Tree, rules []mining.Rule, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Adaptive.Enabled() {
@@ -506,9 +506,8 @@ func (e *Engine) buildLabels(lo, hi int) *labelBlock {
 }
 
 // fixedLab returns the full-range label block, building it on first use.
-// Fixed-mode engines built it at construction; on an adaptive engine this
-// materialises the whole MaxPerms matrix so the fixed-mode methods stay
-// usable.
+// Engines that neither defer labels nor run adaptively built it at
+// construction.
 func (e *Engine) fixedLab() *labelBlock {
 	e.labOnce.Do(func() {
 		if e.lab == nil {
@@ -531,8 +530,8 @@ func (e *Engine) ctxErr() error {
 func (e *Engine) NumPerms() int { return e.cfg.NumPerms }
 
 // Err reports the first cancellation error observed by any run; results
-// returned by MinP, CountLE or PerRuleLE after a non-nil Err are partial
-// and must be discarded.
+// returned by MinP or CountLE after a non-nil Err are placeholders and
+// must be discarded.
 func (e *Engine) Err() error {
 	if ep := e.runErr.Load(); ep != nil {
 		return *ep
@@ -540,27 +539,15 @@ func (e *Engine) Err() error {
 	return nil
 }
 
-// visitor receives the p-values of one rule across a block of
-// permutations: ps[j] is the rule's p-value on permutation perm0+j.
-// Visitors are called from worker goroutines; a visitor instance is only
-// used by one worker at a time for a given block.
-type visitor interface {
-	visit(ruleIdx int, perm0 int, ps []float64)
-}
-
-// run walks the full fixed-mode permutation range (building the label
-// block on first use).
-func (e *Engine) run(mkVisitor func() visitor, merge func(visitor)) {
-	e.runSpan(e.fixedLab(), e.rulesByNode, e.children, mkVisitor, merge)
-}
-
 // runSpan walks the tree once per worker block over the permutations of
 // lab, computing per-permutation class counts bottom-up and handing
-// per-rule p-value slices to v's instances. rulesByNode and children
-// select the (possibly retirement-compacted) rule set and subtree walk.
-// mkVisitor is called once per worker; merge is called with each worker's
-// visitor after all blocks finish, in worker order.
-func (e *Engine) runSpan(lab *labelBlock, rulesByNode, children *adjacency, mkVisitor func() visitor, merge func(visitor)) {
+// per-rule p-value slices to one shardVisitor per worker. rulesByNode and
+// children select the (possibly retirement-compacted) rule set and subtree
+// walk. Every worker writes its minima straight into st.MinP (blocks are
+// disjoint permutation ranges); with st.PoolHist non-nil, each worker
+// buckets into its own histogram over sorted, summed into st.PoolHist in
+// worker order after all blocks finish.
+func (e *Engine) runSpan(lab *labelBlock, rulesByNode, children *adjacency, st *ShardStats, sorted []float64) {
 	// Split the span's permutations into one tile-aligned contiguous block
 	// per worker.
 	blocks := tileBlocks(lab.lo, lab.hi, e.cfg.Workers)
@@ -581,14 +568,18 @@ func (e *Engine) runSpan(lab *labelBlock, rulesByNode, children *adjacency, mkVi
 		}()
 	}
 
-	visitors := make([]visitor, len(blocks))
+	visitors := make([]shardVisitor, len(blocks))
 	var wg sync.WaitGroup
 	for w := range blocks {
+		v := &visitors[w]
+		v.lo, v.min = lab.lo, st.MinP
+		if st.PoolHist != nil {
+			v.sorted, v.poolHist = sorted, make([]int64, len(st.PoolHist))
+		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			visitors[w] = mkVisitor()
-			e.runBlock(lab, rulesByNode, children, blocks[w][0], blocks[w][1], visitors[w])
+			e.runBlock(lab, rulesByNode, children, blocks[w][0], blocks[w][1], &visitors[w])
 		}(w)
 	}
 	wg.Wait()
@@ -596,7 +587,9 @@ func (e *Engine) runSpan(lab *labelBlock, rulesByNode, children *adjacency, mkVi
 		e.setErr(e.cfg.Ctx.Err())
 	}
 	for _, v := range visitors {
-		merge(v)
+		for i, c := range v.poolHist {
+			st.PoolHist[i] += c
+		}
 	}
 }
 
@@ -643,7 +636,7 @@ func (e *Engine) releaseState(st *workerState) {
 }
 
 // runBlock processes permutations [perm0, perm1) in one goroutine.
-func (e *Engine) runBlock(lab *labelBlock, rulesByNode, children *adjacency, perm0, perm1 int, v visitor) {
+func (e *Engine) runBlock(lab *labelBlock, rulesByNode, children *adjacency, perm0, perm1 int, v *shardVisitor) {
 	st := e.acquireState()
 	defer e.releaseState(st)
 	blockLen := perm1 - perm0
@@ -690,7 +683,7 @@ type walker struct {
 	perm0       int
 	blockLen    int
 	tile0       int // stripe-tile index of perm0 within lab
-	v           visitor
+	v           *shardVisitor
 	st          *workerState
 }
 
@@ -859,7 +852,7 @@ func (w *walker) node(nd *mining.Node, counts []int32) {
 				ps[j] = h.FisherTwoTailedScratch(&w.st.fisher, int(k), cvg)
 			}
 		}
-		w.v.visit(int(ri), w.perm0, ps)
+		w.v.visit(w.perm0, ps)
 	}
 
 	for _, ci := range w.children.row(nd.Index) {
@@ -886,27 +879,19 @@ func (w *walker) node(nd *mining.Node, counts []int32) {
 }
 
 // MinP returns, for each permutation, the minimum p-value over all rules —
-// the Westfall–Young null distribution used to control FWER (§4.2).
+// the Westfall–Young null distribution used to control FWER (§4.2). It is
+// one ShardSpan over the full range [0, NumPerms); after a cancelled run
+// it returns all ones and Err reports why.
 func (e *Engine) MinP() []float64 {
-	out := make([]float64, e.cfg.NumPerms)
-	for i := range out {
-		out[i] = 1
-	}
-	e.run(
-		func() visitor { return &minPVisitor{min: out} },
-		func(visitor) {}, // workers write disjoint permutation ranges in place
-	)
-	return out
-}
-
-type minPVisitor struct{ min []float64 }
-
-func (v *minPVisitor) visit(_ int, perm0 int, ps []float64) {
-	for j, p := range ps {
-		if p < v.min[perm0+j] {
-			v.min[perm0+j] = p
+	st, err := e.ShardSpan(0, e.cfg.NumPerms, nil, false)
+	if err != nil {
+		out := make([]float64, e.cfg.NumPerms)
+		for i := range out {
+			out[i] = 1
 		}
+		return out
 	}
+	return st.MinP
 }
 
 // CountLE returns, for each rule, how many of the N·Nt permutation
@@ -914,82 +899,13 @@ func (v *minPVisitor) visit(_ int, perm0 int, ps []float64) {
 // empirical adjusted p-value used to control FDR (§4.2):
 //
 //	p_adj(R) = |{p' in permutation p-values : p' <= p(R)}| / (N·Nt)
+//
+// It is one pooled ShardSpan over the full range [0, NumPerms); after a
+// cancelled run it returns all zeros and Err reports why.
 func (e *Engine) CountLE() []int64 {
-	// Rank the original p-values once; every permutation p-value then
-	// contributes to a suffix of the sorted order via binary search, and
-	// the prefix sums of the histogram recover the per-rule counts.
-	rk := e.rank()
-	var mu sync.Mutex
-	hist := make([]int64, len(rk.Sorted)+1)
-	e.run(
-		func() visitor {
-			return &countLEVisitor{sorted: rk.Sorted, hist: make([]int64, len(rk.Sorted)+1)}
-		},
-		func(v visitor) {
-			cv := v.(*countLEVisitor)
-			mu.Lock()
-			for i, h := range cv.hist {
-				hist[i] += h
-			}
-			mu.Unlock()
-		},
-	)
-	return rk.CountsFromHist(hist)
-}
-
-type countLEVisitor struct {
-	sorted []float64
-	hist   []int64
-}
-
-func (v *countLEVisitor) visit(_ int, _ int, ps []float64) {
-	for _, p := range ps {
-		// First index i with sorted[i] >= p: the permutation value p is
-		// <= every original p-value from i on.
-		i := sort.SearchFloat64s(v.sorted, p)
-		v.hist[i]++
+	st, err := e.ShardSpan(0, e.cfg.NumPerms, nil, true)
+	if err != nil {
+		return make([]int64, len(e.rules))
 	}
-}
-
-// PerRuleLE returns for each rule the number of ITS OWN permutation
-// p-values <= its original p-value, divided by N — the per-rule empirical
-// p-value. Not used by the paper's FDR procedure (which pools across
-// rules) but exposed for diagnostics and tests.
-func (e *Engine) PerRuleLE() []float64 {
-	counts := make([]int64, len(e.rules))
-	var mu sync.Mutex
-	e.run(
-		func() visitor {
-			return &perRuleVisitor{orig: e.rules, counts: make([]int64, len(e.rules))}
-		},
-		func(v visitor) {
-			pv := v.(*perRuleVisitor)
-			mu.Lock()
-			for i, c := range pv.counts {
-				counts[i] += c
-			}
-			mu.Unlock()
-		},
-	)
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c) / float64(e.cfg.NumPerms)
-	}
-	return out
-}
-
-type perRuleVisitor struct {
-	orig   []mining.Rule
-	counts []int64
-}
-
-func (v *perRuleVisitor) visit(ruleIdx int, _ int, ps []float64) {
-	p0 := v.orig[ruleIdx].P
-	var c int64
-	for _, p := range ps {
-		if p <= p0 {
-			c++
-		}
-	}
-	v.counts[ruleIdx] += c
+	return e.rank().CountsFromHist(st.PoolHist)
 }

@@ -160,23 +160,6 @@ func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestEnginePerRuleLE(t *testing.T) {
-	tree, rules := buildCase(t, 31, 200, 6, 12, true)
-	e, err := NewEngine(tree, rules, Config{NumPerms: 40, Seed: 5, Opt: OptStaticBuffer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	perRule := e.PerRuleLE()
-	if len(perRule) != len(rules) {
-		t.Fatalf("PerRuleLE returned %d values for %d rules", len(perRule), len(rules))
-	}
-	for i, v := range perRule {
-		if v < 0 || v > 1 {
-			t.Errorf("rule %d: empirical p %g outside [0,1]", i, v)
-		}
-	}
-}
-
 func TestEngineMinPInUnitInterval(t *testing.T) {
 	tree, rules := buildCase(t, 41, 150, 5, 10, true)
 	e, _ := NewEngine(tree, rules, Config{NumPerms: 15, Seed: 1, Opt: OptDiffsets})

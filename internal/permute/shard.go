@@ -83,17 +83,14 @@ func (e *Engine) origPs() []float64 {
 // ShardStats carries the mergeable statistics of one evaluated permutation
 // range [Lo, Hi). Everything downstream correction consumes is either a
 // per-permutation value (MinP — disjoint across shards, so shards
-// concatenate) or an additive count (OwnLE, PoolHist — int64 sums, so
-// shards add), which is why sharded runs are byte-identical to single-node
-// runs by construction.
+// concatenate) or an additive count (PoolHist — int64 sums, so shards
+// add), which is why sharded runs are byte-identical to single-node runs
+// by construction.
 type ShardStats struct {
 	Lo, Hi int
 	// MinP[j] is the minimum p-value over the live rules on permutation
 	// Lo+j, 1 when no rule was counted.
 	MinP []float64
-	// OwnLE[r] counts rule r's own p-values at or below its original
-	// p-value within the range; nil unless requested.
-	OwnLE []int64
 	// PoolHist buckets every counted p-value over the sorted original
 	// p-values (see Rank); nil unless requested.
 	PoolHist []int64
@@ -101,13 +98,17 @@ type ShardStats struct {
 
 // ShardSpan evaluates the permutations [lo, hi) — one shard of the
 // absolute index range [0, NumPerms) — against the rules still live and
-// returns the range's mergeable statistics. live == nil (or all true)
-// means no rule has retired; otherwise the walk runs over the same
+// returns the range's mergeable statistics. It is the engine's one walk:
+// MinP, CountLE and every round of RunAdaptive are ShardSpan calls. The
+// full range [0, NumPerms) reuses the engine's one memoised label block;
+// any other range builds its own. live == nil (or all true) means no
+// rule has retired; otherwise the walk runs over the same
 // retirement-compacted indexes an adaptive round would use, memoised by
 // frontier content so the many spans sharing one frontier pay for one
-// compaction. Cancellation arrives via Config.Ctx as with every engine
-// entry point; on a non-nil error the statistics must be discarded.
-func (e *Engine) ShardSpan(lo, hi int, live []bool, withOwn, withPool bool) (*ShardStats, error) {
+// compaction. withPool adds the pooled histogram to the always-present
+// minima. Cancellation arrives via Config.Ctx as with every engine entry
+// point; on a non-nil error the statistics must be discarded.
+func (e *Engine) ShardSpan(lo, hi int, live []bool, withPool bool) (*ShardStats, error) {
 	if lo < 0 || hi > e.cfg.NumPerms || lo >= hi {
 		return nil, fmt.Errorf("permute: shard span [%d, %d) not within [0, %d)", lo, hi, e.cfg.NumPerms)
 	}
@@ -119,7 +120,12 @@ func (e *Engine) ShardSpan(lo, hi int, live []bool, withOwn, withPool bool) (*Sh
 		return nil, err
 	}
 	rulesByNode, children := e.liveIndexes(live)
-	lab := e.buildLabels(lo, hi)
+	var lab *labelBlock
+	if lo == 0 && hi == e.cfg.NumPerms {
+		lab = e.fixedLab()
+	} else {
+		lab = e.buildLabels(lo, hi)
+	}
 	if err := e.ctxErr(); err != nil {
 		e.setErr(err)
 		return nil, err
@@ -128,38 +134,12 @@ func (e *Engine) ShardSpan(lo, hi int, live []bool, withOwn, withPool bool) (*Sh
 	for i := range st.MinP {
 		st.MinP[i] = 1
 	}
-	if withOwn {
-		st.OwnLE = make([]int64, len(e.rules))
-	}
-	if withPool {
-		st.PoolHist = make([]int64, len(e.rules)+1)
-	}
-	orig := e.origPs()
 	var sorted []float64
 	if withPool {
+		st.PoolHist = make([]int64, len(e.rules)+1)
 		sorted = e.rank().Sorted
 	}
-	e.runSpan(lab, rulesByNode, children,
-		func() visitor {
-			v := &shardVisitor{orig: orig, lo: lo, min: st.MinP}
-			if withOwn {
-				v.own = make([]int64, len(e.rules))
-			}
-			if withPool {
-				v.sorted = sorted
-				v.poolHist = make([]int64, len(e.rules)+1)
-			}
-			return v
-		},
-		func(v visitor) {
-			sv := v.(*shardVisitor)
-			for i, c := range sv.own {
-				st.OwnLE[i] += c
-			}
-			for i, c := range sv.poolHist {
-				st.PoolHist[i] += c
-			}
-		})
+	e.runSpan(lab, rulesByNode, children, st, sorted)
 	if err := e.ctxErr(); err != nil {
 		return nil, err
 	}
@@ -204,58 +184,38 @@ func boolSliceEqual(a, b []bool) bool {
 	return true
 }
 
-// shardVisitor accumulates a span's statistics in one pass, generalising
-// minPVisitor, countLEVisitor and adaptiveVisitor: per-permutation minima
-// always (written in place — workers own disjoint permutation ranges),
-// own exceedances and the pooled histogram on demand. The float
-// comparisons and the SearchFloat64s bucketing match the fixed-mode
-// visitors operation for operation; the byte-identity conformance suite
-// pins that equivalence.
+// shardVisitor accumulates one worker's share of a span's statistics in
+// one pass: per-permutation minima always (written in place — workers own
+// disjoint permutation ranges), and, when poolHist is non-nil, the pooled
+// histogram of every p-value bucketed over the sorted original p-values.
 type shardVisitor struct {
-	orig     []float64
-	sorted   []float64 // nil unless the pool is requested
 	lo       int
 	min      []float64 // span-relative per-permutation minima (shared)
-	own      []int64   // nil unless requested
+	sorted   []float64 // nil unless the pool is requested
 	poolHist []int64   // nil unless requested
 }
 
-func (v *shardVisitor) visit(ruleIdx int, perm0 int, ps []float64) {
+// visit folds one rule's p-values on the permutations [perm0,
+// perm0+len(ps)) into the statistics.
+//
+//armine:noalloc
+func (v *shardVisitor) visit(perm0 int, ps []float64) {
 	base := perm0 - v.lo
 	min := v.min[base : base+len(ps)]
-	p0 := v.orig[ruleIdx]
-	switch {
-	case v.own == nil && v.poolHist == nil:
+	if v.poolHist == nil {
 		for j, p := range ps {
 			if p < min[j] {
 				min[j] = p
 			}
 		}
-	case v.poolHist == nil:
-		for j, p := range ps {
-			if p <= p0 {
-				v.own[ruleIdx]++
-			}
-			if p < min[j] {
-				min[j] = p
-			}
-		}
-	case v.own == nil:
-		for j, p := range ps {
-			v.poolHist[sort.SearchFloat64s(v.sorted, p)]++
-			if p < min[j] {
-				min[j] = p
-			}
-		}
-	default:
-		for j, p := range ps {
-			if p <= p0 {
-				v.own[ruleIdx]++
-			}
-			v.poolHist[sort.SearchFloat64s(v.sorted, p)]++
-			if p < min[j] {
-				min[j] = p
-			}
+		return
+	}
+	for j, p := range ps {
+		// First index i with sorted[i] >= p: the permutation value p is
+		// <= every original p-value from i on.
+		v.poolHist[sort.SearchFloat64s(v.sorted, p)]++
+		if p < min[j] {
+			min[j] = p
 		}
 	}
 }

@@ -68,9 +68,8 @@ func TestShardSpanByteIdentical(t *testing.T) {
 					}
 					gotMinP := make([]float64, 0, numPerms)
 					poolHist := make([]int64, len(rules)+1)
-					ownLE := make([]int64, len(rules))
 					for _, tile := range tilePlan(numPerms, shards) {
-						st, err := e.ShardSpan(tile[0], tile[1], nil, true, true)
+						st, err := e.ShardSpan(tile[0], tile[1], nil, true)
 						if err != nil {
 							t.Fatalf("opt=%v ab=%s workers=%d shards=%d tile %v: %v",
 								opt, ab.name, workers, shards, tile, err)
@@ -78,9 +77,6 @@ func TestShardSpanByteIdentical(t *testing.T) {
 						gotMinP = append(gotMinP, st.MinP...)
 						for b, c := range st.PoolHist {
 							poolHist[b] += c
-						}
-						for ri, c := range st.OwnLE {
-							ownLE[ri] += c
 						}
 					}
 					if !reflect.DeepEqual(gotMinP, wantMinP) {
@@ -91,14 +87,14 @@ func TestShardSpanByteIdentical(t *testing.T) {
 						t.Fatalf("opt=%v ab=%s workers=%d shards=%d: merged CountLE differs from single-node",
 							opt, ab.name, workers, shards)
 					}
-					// Own counts are additive across tiles: the tiled sum
-					// must equal one span over the whole range.
-					full, err := e.ShardSpan(0, numPerms, nil, true, false)
+					// Pooled histograms are additive across tiles: the tiled
+					// sum must equal one span over the whole range.
+					full, err := e.ShardSpan(0, numPerms, nil, true)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(ownLE, full.OwnLE) {
-						t.Fatalf("opt=%v ab=%s workers=%d shards=%d: tiled OwnLE sums differ from full span",
+					if !reflect.DeepEqual(poolHist, full.PoolHist) {
+						t.Fatalf("opt=%v ab=%s workers=%d shards=%d: tiled pool histograms differ from full span",
 							opt, ab.name, workers, shards)
 					}
 				}
@@ -124,11 +120,11 @@ func TestShardSpanLiveMaskMatchesCompact(t *testing.T) {
 	for i := range allTrue {
 		allTrue[i] = true
 	}
-	base, err := e.ShardSpan(0, numPerms, nil, true, true)
+	base, err := e.ShardSpan(0, numPerms, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	masked, err := e.ShardSpan(0, numPerms, allTrue, true, true)
+	masked, err := e.ShardSpan(0, numPerms, allTrue, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +133,17 @@ func TestShardSpanLiveMaskMatchesCompact(t *testing.T) {
 	}
 
 	// Retire every other rule; live minima can only grow (the min runs
-	// over a subset), and retired rules must contribute no own counts.
+	// over a subset), and retired rules must contribute nothing to the
+	// pool.
 	live := make([]bool, len(rules))
+	numLive := 0
 	for i := range live {
 		live[i] = i%2 == 0
+		if live[i] {
+			numLive++
+		}
 	}
-	part, err := e.ShardSpan(0, numPerms, live, true, false)
+	part, err := e.ShardSpan(0, numPerms, live, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +152,13 @@ func TestShardSpanLiveMaskMatchesCompact(t *testing.T) {
 			t.Fatalf("perm %d: live-subset min %g below full min %g", j, part.MinP[j], base.MinP[j])
 		}
 	}
-	for ri, c := range part.OwnLE {
-		if !live[ri] && c != 0 {
-			t.Fatalf("retired rule %d accumulated %d own counts", ri, c)
-		}
+	var pooled int64
+	for _, c := range part.PoolHist {
+		pooled += c
+	}
+	if want := int64(numLive) * numPerms; pooled != want {
+		t.Fatalf("pool holds %d values under the partial mask, want %d live rules × %d perms = %d",
+			pooled, numLive, numPerms, want)
 	}
 }
 
@@ -166,11 +170,11 @@ func TestShardSpanRejectsBadRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range [][2]int{{-1, 5}, {5, 5}, {8, 4}, {0, 11}} {
-		if _, err := e.ShardSpan(r[0], r[1], nil, true, true); err == nil {
+		if _, err := e.ShardSpan(r[0], r[1], nil, true); err == nil {
 			t.Errorf("ShardSpan(%d, %d) accepted an invalid range", r[0], r[1])
 		}
 	}
-	if _, err := e.ShardSpan(0, 10, make([]bool, len(rules)+1), true, true); err == nil {
+	if _, err := e.ShardSpan(0, 10, make([]bool, len(rules)+1), true); err == nil {
 		t.Error("ShardSpan accepted a live mask of the wrong length")
 	}
 }

@@ -101,7 +101,7 @@ func TestEngineAdaptiveVariantsByteIdentical(t *testing.T) {
 					}
 				}
 				for i := range ref.PoolLE {
-					if got.PoolLE[i] != ref.PoolLE[i] || got.OwnLE[i] != ref.OwnLE[i] ||
+					if got.PoolLE[i] != ref.PoolLE[i] || got.MinPLE[i] != ref.MinPLE[i] ||
 						got.Samples[i] != ref.Samples[i] {
 						t.Fatalf("opt=%v workers=%d %s rule %d: adaptive counts diverge",
 							opt, workers, v.name, i)

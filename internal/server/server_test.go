@@ -411,6 +411,7 @@ func TestServerErrors(t *testing.T) {
 		{"bad test enum", "POST", "/v1/datasets/d/mine", `{"min_sup":5,"test":"bogus"}`, http.StatusBadRequest},
 		{"bad limit", "POST", "/v1/datasets/d/mine?limit=-1", `{"min_sup":5}`, http.StatusBadRequest},
 		{"config rejected by pipeline", "POST", "/v1/datasets/d/mine", `{"min_sup":5,"alpha":2}`, http.StatusUnprocessableEntity},
+		{"negative permutations", "POST", "/v1/datasets/d/mine", `{"min_sup":5,"method":"permutation","permutations":-5}`, http.StatusUnprocessableEntity},
 		{"empty batch", "POST", "/v1/datasets/d/batch", `[]`, http.StatusBadRequest},
 		{"batch bad entry", "POST", "/v1/datasets/d/batch", `[{"min_sup":5},{"method":"bogus"}]`, http.StatusBadRequest},
 		{"upload missing name", "POST", "/v1/datasets", "a,class\nx,y\n", http.StatusBadRequest},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -93,23 +94,38 @@ func TestServerShardEndpoint(t *testing.T) {
 	if _, err := srv.Registry().Register("sig", signalDataset(t, 3)); err != nil {
 		t.Fatal(err)
 	}
-	body := fmt.Sprintf(`{"config": %s, "request": {"shard": 0, "lo": 10, "hi": 20, "with_own": true, "with_pool": true}}`, mineBody)
+	body := fmt.Sprintf(`{"config": %s, "request": {"shard": 0, "lo": 10, "hi": 20, "with_pool": true}}`, mineBody)
 	status, reply := post(t, ts.URL+"/v1/datasets/sig/shard", body)
 	if status != 200 {
 		t.Fatalf("shard endpoint: status %d: %s", status, reply)
 	}
 	var rep struct {
-		Shard int       `json:"shard"`
-		Lo    int       `json:"lo"`
-		Hi    int       `json:"hi"`
-		MinP  []float64 `json:"min_p"`
-		OwnLE []int64   `json:"own_le"`
+		Shard    int       `json:"shard"`
+		Lo       int       `json:"lo"`
+		Hi       int       `json:"hi"`
+		MinP     []float64 `json:"min_p"`
+		PoolHist []int64   `json:"pool_hist"`
 	}
 	if err := json.Unmarshal(reply, &rep); err != nil {
 		t.Fatalf("shard reply %s: %v", reply, err)
 	}
-	if rep.Lo != 10 || rep.Hi != 20 || len(rep.MinP) != 10 || len(rep.OwnLE) == 0 {
+	if rep.Lo != 10 || rep.Hi != 20 || len(rep.MinP) != 10 || len(rep.PoolHist) == 0 {
 		t.Fatalf("shard reply shape wrong: %+v", rep)
+	}
+	var pooled int64
+	for _, c := range rep.PoolHist {
+		pooled += c
+	}
+	if want := int64(len(rep.PoolHist)-1) * 10; pooled != want {
+		t.Fatalf("shard pool holds %d values, want %d rules × 10 perms = %d", pooled, len(rep.PoolHist)-1, want)
+	}
+
+	// A coordinator asking for per-rule own counts ("with_own"), which the
+	// wire codec does not carry, is refused by the strict decoder, so a
+	// mixed-version fleet fails loudly instead of merging.
+	old := fmt.Sprintf(`{"config": %s, "request": {"shard": 0, "lo": 10, "hi": 20, "with_own": true, "with_pool": true}}`, mineBody)
+	if status, body := post(t, ts.URL+"/v1/datasets/sig/shard", old); status != 400 || !strings.Contains(string(body), "with_own") {
+		t.Fatalf("request carrying with_own: status %d (%s), want 400 naming the field", status, body)
 	}
 
 	for name, bad := range map[string]string{

@@ -20,9 +20,8 @@ type Request struct {
 	// sharding exact: every worker compacts against the same frontier the
 	// single-node run would use.
 	Retired []int32 `json:"retired,omitempty"`
-	// WithOwn and WithPool request the per-rule own-exceedance counts and
-	// the pooled histogram alongside the always-present minima.
-	WithOwn  bool `json:"with_own,omitempty"`
+	// WithPool requests the pooled histogram alongside the
+	// always-present minima.
 	WithPool bool `json:"with_pool,omitempty"`
 }
 
@@ -84,6 +83,5 @@ type Reply struct {
 	Lo       int       `json:"lo"`
 	Hi       int       `json:"hi"`
 	MinP     []float64 `json:"min_p"`
-	OwnLE    []int64   `json:"own_le,omitempty"`
 	PoolHist []int64   `json:"pool_hist,omitempty"`
 }

@@ -17,33 +17,33 @@ func FuzzShardMerge(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(0, 10, 2, true, true, data)
+		f.Add(0, 10, 2, true, data)
 	}
 	// A valid tiling, and one seed per rejection class.
 	seed([]Reply{
-		{Shard: 0, Lo: 0, Hi: 5, MinP: []float64{1, 0.5, 0.25, 1, 1}, OwnLE: []int64{1, 0}, PoolHist: []int64{2, 3, 0}},
-		{Shard: 1, Lo: 5, Hi: 10, MinP: []float64{1, 1, 1, 0.125, 1}, OwnLE: []int64{0, 2}, PoolHist: []int64{0, 1, 4}},
+		{Shard: 0, Lo: 0, Hi: 5, MinP: []float64{1, 0.5, 0.25, 1, 1}, PoolHist: []int64{2, 3, 0}},
+		{Shard: 1, Lo: 5, Hi: 10, MinP: []float64{1, 1, 1, 0.125, 1}, PoolHist: []int64{0, 1, 4}},
 	})
 	seed([]Reply{ // duplicate ordinal
-		{Shard: 0, Lo: 0, Hi: 5, MinP: []float64{1, 1, 1, 1, 1}, OwnLE: []int64{0, 0}, PoolHist: []int64{0, 0, 0}},
-		{Shard: 0, Lo: 5, Hi: 10, MinP: []float64{1, 1, 1, 1, 1}, OwnLE: []int64{0, 0}, PoolHist: []int64{0, 0, 0}},
+		{Shard: 0, Lo: 0, Hi: 5, MinP: []float64{1, 1, 1, 1, 1}, PoolHist: []int64{0, 0, 0}},
+		{Shard: 0, Lo: 5, Hi: 10, MinP: []float64{1, 1, 1, 1, 1}, PoolHist: []int64{0, 0, 0}},
 	})
 	seed([]Reply{ // gap: [0,4) then [5,10)
-		{Shard: 0, Lo: 0, Hi: 4, MinP: []float64{1, 1, 1, 1}, OwnLE: []int64{0, 0}, PoolHist: []int64{0, 0, 0}},
-		{Shard: 1, Lo: 5, Hi: 10, MinP: []float64{1, 1, 1, 1, 1}, OwnLE: []int64{0, 0}, PoolHist: []int64{0, 0, 0}},
+		{Shard: 0, Lo: 0, Hi: 4, MinP: []float64{1, 1, 1, 1}, PoolHist: []int64{0, 0, 0}},
+		{Shard: 1, Lo: 5, Hi: 10, MinP: []float64{1, 1, 1, 1, 1}, PoolHist: []int64{0, 0, 0}},
 	})
 	seed([]Reply{ // overlap: [0,6) then [5,10)
-		{Shard: 0, Lo: 0, Hi: 6, MinP: []float64{1, 1, 1, 1, 1, 1}, OwnLE: []int64{0, 0}, PoolHist: []int64{0, 0, 0}},
-		{Shard: 1, Lo: 5, Hi: 10, MinP: []float64{1, 1, 1, 1, 1}, OwnLE: []int64{0, 0}, PoolHist: []int64{0, 0, 0}},
+		{Shard: 0, Lo: 0, Hi: 6, MinP: []float64{1, 1, 1, 1, 1, 1}, PoolHist: []int64{0, 0, 0}},
+		{Shard: 1, Lo: 5, Hi: 10, MinP: []float64{1, 1, 1, 1, 1}, PoolHist: []int64{0, 0, 0}},
 	})
 	seed([]Reply{ // NaN minimum (encodes as null, decodes to 0 — the codec must not let it through as NaN)
-		{Shard: 0, Lo: 0, Hi: 10, MinP: []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, OwnLE: []int64{0, 0}, PoolHist: []int64{0, 0, 0}},
+		{Shard: 0, Lo: 0, Hi: 10, MinP: []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 2}, PoolHist: []int64{0, 0, 0}},
 	})
-	f.Add(0, 10, 2, true, true, []byte(`[{"shard":0,"lo":0,"hi":10,"min_p":[1,1,1,1,1,1,1,1,1,"x"]}]`))
-	f.Add(3, 3, 2, false, false, []byte(`[]`))
-	f.Add(0, 2, 0, false, true, []byte(`[{"shard":0,"lo":0,"hi":2,"min_p":[0.5,0.5],"pool_hist":[0]}]`))
+	f.Add(0, 10, 2, true, []byte(`[{"shard":0,"lo":0,"hi":10,"min_p":[1,1,1,1,1,1,1,1,1,"x"]}]`))
+	f.Add(3, 3, 2, false, []byte(`[]`))
+	f.Add(0, 2, 0, true, []byte(`[{"shard":0,"lo":0,"hi":2,"min_p":[0.5,0.5],"pool_hist":[0]}]`))
 
-	f.Fuzz(func(t *testing.T, lo, hi, numRules int, withOwn, withPool bool, data []byte) {
+	f.Fuzz(func(t *testing.T, lo, hi, numRules int, withPool bool, data []byte) {
 		if numRules < 0 || numRules > 64 || hi-lo > 1<<16 {
 			return
 		}
@@ -51,7 +51,7 @@ func FuzzShardMerge(f *testing.F) {
 		if err := json.Unmarshal(data, &wire); err != nil {
 			return // malformed JSON is the transport's problem, not the merge's
 		}
-		st, err := Merge(lo, hi, numRules, wire, withOwn, withPool)
+		st, err := Merge(lo, hi, numRules, wire, withPool)
 		if err != nil {
 			return
 		}
@@ -68,18 +68,6 @@ func FuzzShardMerge(f *testing.F) {
 			}
 		}
 		span := int64(hi - lo)
-		if withOwn {
-			if len(st.OwnLE) != numRules {
-				t.Fatalf("%d own counts for %d rules", len(st.OwnLE), numRules)
-			}
-			for ri, c := range st.OwnLE {
-				if c < 0 || c > span {
-					t.Fatalf("merged own count %d for rule %d escaped [0, %d]", c, ri, span)
-				}
-			}
-		} else if st.OwnLE != nil {
-			t.Fatal("own counts materialised without being requested")
-		}
 		if withPool {
 			if len(st.PoolHist) != numRules+1 {
 				t.Fatalf("%d pool buckets for %d rules", len(st.PoolHist), numRules)

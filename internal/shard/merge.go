@@ -13,12 +13,12 @@ import (
 // the range bit for bit. Replies must tile [lo, hi) exactly, in range
 // order — the first reply starts at lo, each next reply starts where the
 // previous ended, and the last ends at hi; gaps, overlaps, duplicate shard
-// ordinals, count values outside their per-shard bounds, and minima
+// ordinals, pooled counts outside their per-shard bounds, and minima
 // outside [0, 1] (including NaN) are rejected rather than merged, since a
 // malformed reply would silently corrupt the null distribution.
 //
 //armine:deterministic
-func Merge(lo, hi, numRules int, replies []*Reply, withOwn, withPool bool) (*permute.ShardStats, error) {
+func Merge(lo, hi, numRules int, replies []*Reply, withPool bool) (*permute.ShardStats, error) {
 	if lo < 0 || lo >= hi {
 		return nil, fmt.Errorf("shard: merge range [%d, %d) is empty or negative", lo, hi)
 	}
@@ -26,9 +26,6 @@ func Merge(lo, hi, numRules int, replies []*Reply, withOwn, withPool bool) (*per
 		return nil, fmt.Errorf("shard: merge with negative rule count %d", numRules)
 	}
 	st := &permute.ShardStats{Lo: lo, Hi: hi, MinP: make([]float64, 0, hi-lo)}
-	if withOwn {
-		st.OwnLE = make([]int64, numRules)
-	}
 	if withPool {
 		st.PoolHist = make([]int64, numRules+1)
 	}
@@ -57,19 +54,6 @@ func Merge(lo, hi, numRules int, replies []*Reply, withOwn, withPool bool) (*per
 			if !(p >= 0 && p <= 1) {
 				return nil, fmt.Errorf("shard: reply %d min-p %v outside [0, 1]", i, p)
 			}
-		}
-		if withOwn {
-			if len(r.OwnLE) != numRules {
-				return nil, fmt.Errorf("shard: reply %d carries %d own counts for %d rules", i, len(r.OwnLE), numRules)
-			}
-			for ri, c := range r.OwnLE {
-				if c < 0 || c > span {
-					return nil, fmt.Errorf("shard: reply %d own count %d for rule %d outside [0, %d]", i, c, ri, span)
-				}
-				st.OwnLE[ri] += c
-			}
-		} else if len(r.OwnLE) != 0 {
-			return nil, fmt.Errorf("shard: reply %d carries unrequested own counts", i)
 		}
 		if withPool {
 			if len(r.PoolHist) != numRules+1 {

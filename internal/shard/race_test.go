@@ -41,14 +41,14 @@ func TestCoordinatorConcurrentSpansAndCancel(t *testing.T) {
 	results := make([]*permute.AdaptiveResult, 6)
 	errs := make([]error, len(results))
 	for i := range results {
-		coord, err := NewCoordinator(workers, ps, 0, ad)
+		coord, err := NewCoordinator(workers, len(rules))
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = coord.RunAdaptive(context.Background(), permute.AdaptFDR, 0.05)
+			results[i], errs[i] = permute.DriveAdaptive(ps, ad, permute.AdaptFDR, 0.05, runner(coord, context.Background()))
 		}(i)
 	}
 
@@ -59,7 +59,7 @@ func TestCoordinatorConcurrentSpansAndCancel(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		ccfg := permute.Config{NumPerms: maxPerms, Seed: 13, Workers: 2, Ctx: ctx}
-		coord, err := NewCoordinator(localWorkers(t, tree, rules, ccfg, 3), ps, maxPerms, permute.Adaptive{})
+		coord, err := NewCoordinator(localWorkers(t, tree, rules, ccfg, 3), len(rules))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestCoordinatorConcurrentSpansAndCancel(t *testing.T) {
 			cancel()
 		}()
 		go func() {
-			_, err := coord.MinP(ctx)
+			_, err := coord.Span(ctx, 0, maxPerms, nil, false)
 			cancelDone <- err
 		}()
 	}

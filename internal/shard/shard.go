@@ -2,12 +2,14 @@
 // (DESIGN.md §10): a coordinator partitions the absolute permutation-index
 // range [0, MaxPerms) into disjoint contiguous shards, dispatches them to
 // workers that each hold the same prepared session — in-process engines or
-// HTTP peers — and merges the per-shard minima, own-exceedance counts and
-// pooled histograms into results bit-identical to a single-node
-// permute.Engine run. The (Seed, absolute index) label contract makes the
-// partition invisible to the statistics; adaptive rounds stay exact
-// because the coordinator makes every retirement decision centrally from
-// the merged histograms and broadcasts the frontier to all workers.
+// HTTP peers — and merges the per-shard minima and pooled histograms into
+// statistics bit-identical to a single-node permute.Engine span. The
+// (Seed, absolute index) label contract makes the partition invisible to
+// the statistics. Coordinator.Span is a permute.RoundRunner: adaptive
+// rounds stay exact because permute.DriveAdaptive makes every retirement
+// decision centrally from the merged histograms and the coordinator
+// broadcasts the frontier to all workers; a fixed run is the one-round
+// schedule of the same driver.
 package shard
 
 import (
@@ -49,44 +51,33 @@ func Plan(lo, hi, shards int) [][2]int {
 
 // Coordinator fans permutation spans out to a fixed set of workers and
 // merges their replies. All workers must hold the same prepared session
-// (tree, rules, seed and counting configuration); ps carries the rules'
-// original p-values by rule index, the coordinator's share of that
-// session.
+// (tree, rules, seed and counting configuration) over numRules rules.
+// Span has the shape of a permute.RoundRunner, so permute.DriveAdaptive
+// drives a coordinator exactly as it drives a single engine.
 type Coordinator struct {
 	workers  []Worker
-	ps       []float64
-	numPerms int
-	ad       permute.Adaptive
+	numRules int
 }
 
-// NewCoordinator builds a coordinator over the given workers. numPerms is
-// the fixed-mode permutation count; a non-zero ad switches the adaptive
-// budget on (MaxPerms replaces numPerms, mirroring permute.Config).
-func NewCoordinator(workers []Worker, ps []float64, numPerms int, ad permute.Adaptive) (*Coordinator, error) {
+// NewCoordinator builds a coordinator over the given workers, whose
+// session holds numRules rules.
+func NewCoordinator(workers []Worker, numRules int) (*Coordinator, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("shard: coordinator needs at least one worker")
 	}
-	if ad.Enabled() {
-		ad = ad.Normalized()
-		numPerms = ad.MaxPerms
-	}
-	if numPerms < 1 {
-		return nil, fmt.Errorf("shard: coordinator needs NumPerms >= 1, got %d", numPerms)
-	}
-	return &Coordinator{workers: workers, ps: ps, numPerms: numPerms, ad: ad}, nil
+	return &Coordinator{workers: workers, numRules: numRules}, nil
 }
 
-// NumPerms returns the coordinator's permutation count (the adaptive
-// budget in adaptive mode).
-func (c *Coordinator) NumPerms() int { return c.numPerms }
-
-// span dispatches the range [lo, hi) across the workers — one goroutine
-// per planned shard, replies collected by shard index so completion order
-// never leaks into the result — and merges the replies. The first
-// worker error (by shard index) aborts the dispatch and cancels the
-// remaining shards.
-func (c *Coordinator) span(ctx context.Context, lo, hi int, retired []int32, withOwn, withPool bool) (*permute.ShardStats, error) {
+// Span dispatches the range [lo, hi) across the workers under the
+// retirement frontier live (nil = every rule live) — one goroutine per
+// planned shard, replies collected by shard index so completion order
+// never leaks into the result — and merges the replies into statistics
+// bit-identical to Engine.ShardSpan over the same range. The first worker
+// error (by shard index) aborts the dispatch and cancels the remaining
+// shards.
+func (c *Coordinator) Span(ctx context.Context, lo, hi int, live []bool, withPool bool) (*permute.ShardStats, error) {
 	plan := Plan(lo, hi, len(c.workers))
+	retired := RetiredFromLive(live)
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	replies := make([]*Reply, len(plan))
@@ -96,7 +87,7 @@ func (c *Coordinator) span(ctx context.Context, lo, hi int, retired []int32, wit
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			req := Request{Shard: s, Lo: plan[s][0], Hi: plan[s][1], Retired: retired, WithOwn: withOwn, WithPool: withPool}
+			req := Request{Shard: s, Lo: plan[s][0], Hi: plan[s][1], Retired: retired, WithPool: withPool}
 			replies[s], errs[s] = c.workers[s].Span(sctx, req)
 			if errs[s] != nil {
 				cancel()
@@ -113,106 +104,5 @@ func (c *Coordinator) span(ctx context.Context, lo, hi int, retired []int32, wit
 			return nil, fmt.Errorf("shard %d [%d, %d): %w", s, plan[s][0], plan[s][1], err)
 		}
 	}
-	return Merge(lo, hi, len(c.ps), replies, withOwn, withPool)
-}
-
-// MinP returns the per-permutation minimum p-values over the full range,
-// bit-identical to Engine.MinP on an equivalent single-node engine.
-func (c *Coordinator) MinP(ctx context.Context) ([]float64, error) {
-	st, err := c.span(ctx, 0, c.numPerms, nil, false, false)
-	if err != nil {
-		return nil, err
-	}
-	return st.MinP, nil
-}
-
-// CountLE returns each rule's pooled <=-count over the full range,
-// bit-identical to Engine.CountLE: shard histograms add, and the shared
-// Rank bucketing maps the merged histogram back to per-rule counts.
-func (c *Coordinator) CountLE(ctx context.Context) ([]int64, error) {
-	st, err := c.span(ctx, 0, c.numPerms, nil, false, true)
-	if err != nil {
-		return nil, err
-	}
-	return permute.NewRank(c.ps).CountsFromHist(st.PoolHist), nil
-}
-
-// RunAdaptive executes the adaptive schedule with every round fanned out
-// across the workers: permute.DriveAdaptive makes the retirement decisions
-// from the merged histograms, exactly as Engine.RunAdaptive does from its
-// own, so the result — every round length, frontier and statistic — is
-// bit-identical to the single-node run.
-func (c *Coordinator) RunAdaptive(ctx context.Context, mode permute.AdaptiveMode, alpha float64) (*permute.AdaptiveResult, error) {
-	if !c.ad.Enabled() {
-		return nil, fmt.Errorf("shard: RunAdaptive needs an adaptive budget (Adaptive.MaxPerms > 0)")
-	}
-	return permute.DriveAdaptive(c.ps, c.ad, mode, alpha,
-		func(lo, hi int, live []bool, withPool bool) (*permute.ShardStats, error) {
-			return c.span(ctx, lo, hi, RetiredFromLive(live), true, withPool)
-		})
-}
-
-// Bound adapts a Coordinator to the context-free engine-shaped surface the
-// correction layer consumes (correction.NullSource plus RunAdaptive and
-// Err): methods run under the bound context, and the first error sticks,
-// mirroring Engine.Err's "partial results must be discarded" contract. A
-// Bound is used by one correction at a time, like the engine it stands in
-// for.
-type Bound struct {
-	c   *Coordinator
-	ctx context.Context
-	err error
-}
-
-// Bind couples a coordinator to the context a correction runs under.
-func Bind(c *Coordinator, ctx context.Context) *Bound {
-	return &Bound{c: c, ctx: ctx}
-}
-
-// NumPerms returns the coordinator's permutation count.
-func (b *Bound) NumPerms() int { return b.c.numPerms }
-
-// Err reports the first dispatch error; results obtained after a non-nil
-// Err are placeholders and must be discarded.
-func (b *Bound) Err() error { return b.err }
-
-// MinP returns the merged per-permutation minima, or all-ones after a
-// dispatch error (check Err, as with the engine).
-func (b *Bound) MinP() []float64 {
-	minP, err := b.c.MinP(b.ctx)
-	if err != nil {
-		b.fail(err)
-		minP = make([]float64, b.c.numPerms)
-		for i := range minP {
-			minP[i] = 1
-		}
-	}
-	return minP
-}
-
-// CountLE returns the merged per-rule pooled counts, or all-zeros after a
-// dispatch error (check Err, as with the engine).
-func (b *Bound) CountLE() []int64 {
-	counts, err := b.c.CountLE(b.ctx)
-	if err != nil {
-		b.fail(err)
-		counts = make([]int64, len(b.c.ps))
-	}
-	return counts
-}
-
-// RunAdaptive runs the coordinator's adaptive schedule under the bound
-// context.
-func (b *Bound) RunAdaptive(mode permute.AdaptiveMode, alpha float64) (*permute.AdaptiveResult, error) {
-	res, err := b.c.RunAdaptive(b.ctx, mode, alpha)
-	if err != nil {
-		b.fail(err)
-	}
-	return res, err
-}
-
-func (b *Bound) fail(err error) {
-	if b.err == nil {
-		b.err = err
-	}
+	return Merge(lo, hi, c.numRules, replies, withPool)
 }

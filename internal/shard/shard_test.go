@@ -61,6 +61,14 @@ func localWorkers(t *testing.T, tree *mining.Tree, rules []mining.Rule, cfg perm
 	return workers
 }
 
+// runner adapts a coordinator to the round-runner shape
+// permute.DriveAdaptive consumes, bound to ctx.
+func runner(c *Coordinator, ctx context.Context) permute.RoundRunner {
+	return func(lo, hi int, live []bool, withPool bool) (*permute.ShardStats, error) {
+		return c.Span(ctx, lo, hi, live, withPool)
+	}
+}
+
 func TestPlanTilesExactly(t *testing.T) {
 	for _, c := range []struct{ lo, hi, shards int }{
 		{0, 10, 1}, {0, 10, 3}, {0, 10, 10}, {0, 10, 40}, {5, 12, 2}, {0, 1, 8}, {3, 3, 2}, {4, 2, 2},
@@ -88,9 +96,9 @@ func TestPlanTilesExactly(t *testing.T) {
 	}
 }
 
-// TestCoordinatorFixedByteIdentical: for 1, 2, 3 and 8 workers, the
-// coordinator's MinP and CountLE must equal a single-node engine's byte
-// for byte.
+// TestCoordinatorFixedByteIdentical: for 1, 2, 3 and 8 workers, a
+// coordinator span over the full range must reproduce a single-node
+// engine's MinP and CountLE byte for byte, with and without the pool.
 func TestCoordinatorFixedByteIdentical(t *testing.T) {
 	const numPerms = 40
 	const seed = 17
@@ -106,30 +114,34 @@ func TestCoordinatorFixedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nw := range []int{1, 2, 3, 8} {
-		coord, err := NewCoordinator(localWorkers(t, tree, rules, cfg, nw), ps, numPerms, permute.Adaptive{})
+		coord, err := NewCoordinator(localWorkers(t, tree, rules, cfg, nw), len(rules))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotMinP, err := coord.MinP(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotMinP, wantMinP) {
-			t.Fatalf("%d workers: coordinator MinP differs from single-node", nw)
-		}
-		gotLE, err := coord.CountLE(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotLE, wantLE) {
-			t.Fatalf("%d workers: coordinator CountLE differs from single-node", nw)
+		for _, withPool := range []bool{false, true} {
+			st, err := coord.Span(context.Background(), 0, numPerms, nil, withPool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(st.MinP, wantMinP) {
+				t.Fatalf("%d workers pool=%v: coordinator MinP differs from single-node", nw, withPool)
+			}
+			if !withPool {
+				if st.PoolHist != nil {
+					t.Fatalf("%d workers: unrequested pool histogram merged", nw)
+				}
+				continue
+			}
+			if gotLE := permute.NewRank(ps).CountsFromHist(st.PoolHist); !reflect.DeepEqual(gotLE, wantLE) {
+				t.Fatalf("%d workers: coordinator CountLE differs from single-node", nw)
+			}
 		}
 	}
 }
 
 // TestCoordinatorAdaptiveExactAgreement is the sharded half of the PR 5
 // adaptive property test: across the same randomized dataset × seed ×
-// workers × mode matrix, the coordinator's RunAdaptive
+// workers × mode matrix, DriveAdaptive over the coordinator's Span
 // must reproduce the single-node engine's AdaptiveResult exactly — every
 // round length, retirement decision, per-rule count and permutation
 // minimum — because the coordinator drives the identical schedule from
@@ -160,11 +172,11 @@ func TestCoordinatorAdaptiveExactAgreement(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				coord, err := NewCoordinator(localWorkers(t, tree, rules, cfg, 3), ps, 0, cfg.Adaptive)
+				coord, err := NewCoordinator(localWorkers(t, tree, rules, cfg, 3), len(rules))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := coord.RunAdaptive(context.Background(), mode, alpha)
+				got, err := permute.DriveAdaptive(ps, cfg.Adaptive, mode, alpha, runner(coord, context.Background()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -223,7 +235,7 @@ func TestHTTPWorkerByteIdentical(t *testing.T) {
 	for i := range workers {
 		workers[i] = &HTTP{URL: ts.URL, Config: json.RawMessage(`{}`)}
 	}
-	coord, err := NewCoordinator(workers, ps, 0, cfg.Adaptive)
+	coord, err := NewCoordinator(workers, len(rules))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +248,7 @@ func TestHTTPWorkerByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.RunAdaptive(context.Background(), permute.AdaptFDR, alpha)
+	got, err := permute.DriveAdaptive(ps, cfg.Adaptive, permute.AdaptFDR, alpha, runner(coord, context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +294,11 @@ func (f *failingWorker) Span(ctx context.Context, req Request) (*Reply, error) {
 // span with the shard's range in the error, and cancels the siblings.
 func TestCoordinatorWorkerErrorAborts(t *testing.T) {
 	workers := []Worker{&failingWorker{after: 1 << 62}, &failingWorker{}}
-	coord, err := NewCoordinator(workers, []float64{0.5}, 10, permute.Adaptive{})
+	coord, err := NewCoordinator(workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = coord.MinP(context.Background())
+	_, err = coord.Span(context.Background(), 0, 10, nil, false)
 	if err == nil || !strings.Contains(err.Error(), "worker exploded") || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("coordinator error %v does not identify the failing shard", err)
 	}
@@ -296,40 +308,15 @@ func TestCoordinatorWorkerErrorAborts(t *testing.T) {
 // sibling echo errors.
 func TestCoordinatorContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	tree, rules, ps := buildCase(t, 51, 150, 5, 10)
+	tree, rules, _ := buildCase(t, 51, 150, 5, 10)
 	cfg := permute.Config{NumPerms: 10, Seed: 1, Ctx: ctx}
-	coord, err := NewCoordinator(localWorkers(t, tree, rules, cfg, 2), ps, 10, permute.Adaptive{})
+	coord, err := NewCoordinator(localWorkers(t, tree, rules, cfg, 2), len(rules))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	if _, err := coord.MinP(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := coord.Span(ctx, 0, 10, nil, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled coordinator returned %v, want context.Canceled", err)
-	}
-}
-
-// TestBoundStickyError: Bound presents the engine-shaped surface — after
-// a failure MinP/CountLE return placeholders and Err reports the first
-// failure, mirroring Engine.Err's discard contract.
-func TestBoundStickyError(t *testing.T) {
-	workers := []Worker{&failingWorker{}}
-	coord, err := NewCoordinator(workers, []float64{0.5, 0.1}, 10, permute.Adaptive{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := Bind(coord, context.Background())
-	if b.NumPerms() != 10 {
-		t.Fatalf("NumPerms = %d, want 10", b.NumPerms())
-	}
-	minP := b.MinP()
-	if len(minP) != 10 || minP[0] != 1 {
-		t.Fatalf("failed MinP placeholder = %v, want all ones", minP)
-	}
-	if counts := b.CountLE(); len(counts) != 2 || counts[0] != 0 {
-		t.Fatalf("failed CountLE placeholder = %v, want all zeros", counts)
-	}
-	if b.Err() == nil {
-		t.Fatal("Bound.Err lost the dispatch failure")
 	}
 }
 
@@ -376,10 +363,9 @@ func TestMergeRejectsMalformedReplies(t *testing.T) {
 		for i := range minP {
 			minP[i] = 0.5
 		}
-		return &Reply{Shard: shard, Lo: lo, Hi: hi, MinP: minP,
-			OwnLE: make([]int64, 2), PoolHist: make([]int64, 3)}
+		return &Reply{Shard: shard, Lo: lo, Hi: hi, MinP: minP, PoolHist: make([]int64, 3)}
 	}
-	if _, err := Merge(0, 10, 2, []*Reply{mk(0, 0, 5), mk(1, 5, 10)}, true, true); err != nil {
+	if _, err := Merge(0, 10, 2, []*Reply{mk(0, 0, 5), mk(1, 5, 10)}, true); err != nil {
 		t.Fatalf("valid tiling rejected: %v", err)
 	}
 	cases := []struct {
@@ -394,34 +380,29 @@ func TestMergeRejectsMalformedReplies(t *testing.T) {
 		{"overrun", []*Reply{mk(0, 0, 5), mk(1, 5, 11)}},
 		{"empty tile", []*Reply{mk(0, 0, 5), {Shard: 1, Lo: 5, Hi: 5}, mk(2, 5, 10)}},
 		{"short minima", []*Reply{mk(0, 0, 5), {Shard: 1, Lo: 5, Hi: 10, MinP: []float64{1},
-			OwnLE: make([]int64, 2), PoolHist: make([]int64, 3)}}},
+			PoolHist: make([]int64, 3)}}},
 	}
 	for _, c := range cases {
-		if _, err := Merge(0, 10, 2, c.replies, true, true); err == nil {
+		if _, err := Merge(0, 10, 2, c.replies, true); err == nil {
 			t.Errorf("%s: merge accepted malformed replies", c.name)
 		}
 	}
 
 	bad := mk(1, 5, 10)
 	bad.MinP[0] = 1.5
-	if _, err := Merge(0, 10, 2, []*Reply{mk(0, 0, 5), bad}, true, true); err == nil {
+	if _, err := Merge(0, 10, 2, []*Reply{mk(0, 0, 5), bad}, true); err == nil {
 		t.Error("min-p above 1 accepted")
 	}
 	bad = mk(1, 5, 10)
-	bad.OwnLE[0] = 6
-	if _, err := Merge(0, 10, 2, []*Reply{mk(0, 0, 5), bad}, true, true); err == nil {
-		t.Error("own count above the shard span accepted")
-	}
-	bad = mk(1, 5, 10)
 	bad.PoolHist = []int64{5, 5, 5}
-	if _, err := Merge(0, 10, 2, []*Reply{mk(0, 0, 5), bad}, true, true); err == nil {
+	if _, err := Merge(0, 10, 2, []*Reply{mk(0, 0, 5), bad}, true); err == nil {
 		t.Error("pool histogram holding more values than evaluated accepted")
 	}
 	withExtras := mk(1, 5, 10)
 	if _, err := Merge(0, 10, 2, []*Reply{
-		{Shard: 0, Lo: 0, Hi: 5, MinP: mk(0, 0, 5).MinP, OwnLE: make([]int64, 2), PoolHist: make([]int64, 3)},
+		{Shard: 0, Lo: 0, Hi: 5, MinP: mk(0, 0, 5).MinP, PoolHist: make([]int64, 3)},
 		withExtras,
-	}, false, false); err == nil {
+	}, false); err == nil {
 		t.Error("unrequested counts accepted")
 	}
 }

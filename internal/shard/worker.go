@@ -37,11 +37,11 @@ func (l *Local) Span(_ context.Context, req Request) (*Reply, error) {
 	if err := req.Validate(l.e.NumPerms(), l.e.NumRules()); err != nil {
 		return nil, err
 	}
-	st, err := l.e.ShardSpan(req.Lo, req.Hi, req.Live(l.e.NumRules()), req.WithOwn, req.WithPool)
+	st, err := l.e.ShardSpan(req.Lo, req.Hi, req.Live(l.e.NumRules()), req.WithPool)
 	if err != nil {
 		return nil, err
 	}
-	return &Reply{Shard: req.Shard, Lo: st.Lo, Hi: st.Hi, MinP: st.MinP, OwnLE: st.OwnLE, PoolHist: st.PoolHist}, nil
+	return &Reply{Shard: req.Shard, Lo: st.Lo, Hi: st.Hi, MinP: st.MinP, PoolHist: st.PoolHist}, nil
 }
 
 // HTTP is the wire-transport Worker: each assignment is POSTed to a peer's
