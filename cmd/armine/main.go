@@ -14,7 +14,6 @@
 //	armine mine -in data.csv -minsup-frac 0.05 -control fdr -method direct
 //	armine mine -in data.csv -minsup 60 -method permutation -perms 1000
 //	armine mine -uci german -minsup 60 -method permutation -perms 10000 -adaptive
-//	armine mine -uci german -minsup 60 -method permutation -perms 1000 -shards 4
 //	armine mine -uci german -minsup 60 -method holdout -control fwer
 //
 // Out-of-core examples — convert once, then mine datasets larger than
@@ -49,7 +48,7 @@
 //
 //	armine serve -addr :8080 -capacity 16 -timeout 2m
 //	armine serve -preload census=data.csv -preload german=uci:german
-//	armine serve -shards 3 -shard-peers http://h1:8080,http://h2:8080
+//	armine serve -shard-peers http://h1:8080,http://h2:8080,http://h2:8080
 //	armine serve -store-dir /var/lib/armine
 //
 // With -store-dir uploads stream into immutable segment stores under
@@ -57,10 +56,9 @@
 // only), existing stores are re-registered on restart, and
 // POST /v1/datasets/{name}/append ingests CSV deltas as new segments.
 //
-// -shards splits permutation counting across coordinated shards (DESIGN.md
-// §10); results are byte-identical to single-node runs. With -shard-peers
-// the shards fan out over HTTP to peers holding the same datasets,
-// otherwise they run in-process.
+// -shard-peers fans every permutation run out over HTTP, one shard per
+// listed peer URL (DESIGN.md §10); results are byte-identical to the
+// single-node runs an empty list gives.
 //
 // See the repro package docs (api.go) for the endpoint table.
 package main
@@ -73,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -159,7 +158,6 @@ type mineFlags struct {
 	minSupFrac, minConf, alpha *float64
 	control, method, methods   *string
 	perms, workers, maxLen     *int
-	shards                     *int
 	adaptive                   *bool
 	adaptMin, adaptExceed      *int
 	seed                       *uint64
@@ -190,7 +188,6 @@ func newMineFlags(stderr io.Writer) *mineFlags {
 			"exceedances a rule needs before early retirement (0 = default 20, negative = never retire)"),
 		seed:    fs.Uint64("seed", 1, "random seed (permutations, holdout split, stand-ins)"),
 		workers: fs.Int("workers", 0, "worker goroutines for mining and permutations (0 = all CPUs)"),
-		shards:  fs.Int("shards", 0, "split permutation counting across this many coordinated shards (0 or 1 = single-node; results are byte-identical)"),
 		maxLen:  fs.Int("maxlen", 0, "maximum rule LHS length (0 = unlimited)"),
 		limit:   fs.Int("limit", 50, "print at most this many rules per run (0 = all)"),
 		jsonOut: fs.Bool("json", false, "emit a JSON array (one entry per method run) instead of text"),
@@ -220,7 +217,6 @@ func runMine(args []string, stdout, stderr io.Writer) error {
 		Seed:         *f.seed,
 		Workers:      *f.workers,
 		MaxLen:       *f.maxLen,
-		Shards:       *f.shards,
 	}
 	if *f.adaptive {
 		base.Adaptive = repro.Adaptive{
@@ -337,7 +333,6 @@ type serveFlags struct {
 	timeout, drain                 *time.Duration
 	maxUpload                      *int64
 	seed                           *uint64
-	shards                         *int
 	shardPeers, storeDir           *string
 	pre                            *preloads
 }
@@ -355,9 +350,8 @@ func newServeFlags(stderr io.Writer) *serveFlags {
 		maxUpload: fs.Int64("max-upload", 0, "max CSV upload bytes (0 = default 64 MiB)"),
 		drain:     fs.Duration("drain", 30*time.Second, "max wait for in-flight mining on shutdown"),
 		seed:      fs.Uint64("seed", 1, "seed for uci: preloads"),
-		shards:    fs.Int("shards", 0, "default shard count for permutation runs whose config leaves shards unset (0 or 1 = single-node)"),
 		shardPeers: fs.String("shard-peers", "",
-			"comma-separated peer base URLs holding the same datasets; sharded runs fan out to their /shard endpoints (empty = shard in-process)"),
+			"comma-separated peer base URLs holding the same datasets; permutation runs fan out one shard per entry to their /shard endpoints (empty = single-node)"),
 		storeDir: fs.String("store-dir", "",
 			"serve datasets out-of-core: uploads stream into segment stores under this directory (pre-discretized CSV only), existing stores are re-served on restart, and POST .../append grows them (empty = in-memory sessions)"),
 		pre: &preloads{},
@@ -376,6 +370,10 @@ func runServe(args []string, stderr io.Writer) error {
 		return fmt.Errorf("serve takes no positional arguments, got %q", fs.Arg(0))
 	}
 
+	peers, err := parsePeers(*f.shardPeers)
+	if err != nil {
+		return err
+	}
 	logger := log.New(stderr, "", log.LstdFlags)
 	reg := repro.NewRegistry(*f.capacity, repro.CacheLimits{MaxTrees: *f.treeCache, MaxRules: *f.ruleCache})
 	for _, p := range *f.pre {
@@ -395,16 +393,11 @@ func runServe(args []string, stderr io.Writer) error {
 		logger.Printf("armine: preloaded dataset %q (%d records)", p.name, d.NumRecords())
 	}
 
-	var peers []string
-	if *f.shardPeers != "" {
-		peers = strings.Split(*f.shardPeers, ",")
-	}
 	srv := repro.NewServer(reg, repro.ServeOptions{
 		Addr:           *f.addr,
 		Timeout:        *f.timeout,
 		MaxUploadBytes: *f.maxUpload,
 		Log:            logger,
-		DefaultShards:  *f.shards,
 		ShardPeers:     peers,
 		StoreDir:       *f.storeDir,
 	})
@@ -428,6 +421,21 @@ func runServe(args []string, stderr io.Writer) error {
 		}
 		return <-errCh
 	}
+}
+
+// parsePeers splits the -shard-peers list, failing on any entry that is
+// not an absolute http(s) URL with a host and so could never be reached.
+func parsePeers(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	peers := strings.Split(list, ",")
+	for _, p := range peers {
+		if u, err := url.Parse(p); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("-shard-peers entry %q is not an absolute http(s) URL with a host", p)
+		}
+	}
+	return peers, nil
 }
 
 // setMethod applies one -method/-methods name to cfg.

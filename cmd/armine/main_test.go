@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,11 +164,29 @@ func TestServeFlagValidation(t *testing.T) {
 		// A stray positional in mine would silently drop every flag after
 		// it (flag parsing stops there) — reject instead.
 		{"mine", "-uci", "german", "-minsup", "60", "stray", "-method", "permutation"},
+		// The shard count is set by the peer list alone.
+		{"mine", "-uci", "german", "-minsup", "60", "-shards", "4"},
+		{"serve", "-shards", "3"},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
 		if code := realMain(args, &stdout, &stderr); code != 1 {
 			t.Errorf("%v: exit = %d, want 1", args, code)
+		}
+	}
+	// Every -shard-peers entry must be a reachable-in-principle URL; a
+	// bad one fails startup, named, before any dataset is preloaded.
+	for _, tc := range []struct{ peers, bad string }{
+		{"http://h1:8080,", ""},
+		{"h1:8080", "h1:8080"},
+		{"http://h1:8080,ftp://h2:21", "ftp://h2:21"},
+		{"http://", "http://"},
+		{"http://h1:8080,/relative", "/relative"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"serve", "-addr", "127.0.0.1:0", "-shard-peers", tc.peers, "-preload", "x=/nonexistent/file.csv"}
+		if code := realMain(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), fmt.Sprintf("%q", tc.bad)) {
+			t.Errorf("-shard-peers %q: exit %d, stderr %q; want 1 naming %q", tc.peers, code, stderr.String(), tc.bad)
 		}
 	}
 }

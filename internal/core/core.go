@@ -161,18 +161,13 @@ type Config struct {
 	// matches the fixed run's up to the conservative stopping rule (see
 	// the design doc for the exactness argument).
 	Adaptive permute.Adaptive
-	// Shards, when > 1, splits MethodPermutation's absolute
-	// permutation-index range into that many disjoint contiguous shards
-	// dispatched through the internal/shard coordinator (DESIGN.md §10).
-	// The default in-process workers share one deferred-label engine;
-	// ShardWorkers overrides them. Results are byte-identical to a
-	// single-node run for every shard count — the (Seed, absolute index)
-	// label contract makes the partition invisible to the statistics.
-	Shards int
-	// ShardWorkers, when non-empty, supplies the shard workers directly
-	// (one shard per worker, e.g. HTTP peers wired up by the server) and
-	// takes precedence over Shards. Like Workers, it never participates in
-	// serialisation or cache keys beyond the shard count.
+	// ShardWorkers, when non-empty, splits MethodPermutation's absolute
+	// permutation-index range into one disjoint contiguous shard per
+	// worker (the server's HTTP peers), dispatched through the
+	// internal/shard coordinator (DESIGN.md §10). Results are
+	// byte-identical to a single-node run for every worker count. Like
+	// Workers, it never enters serialisation or cache keys beyond the
+	// shard count.
 	ShardWorkers []shard.Worker
 	// Seed drives permutation shuffles and holdout splits. Seeding is
 	// fully explicit — nothing in the pipeline reads global or time-based
@@ -388,18 +383,6 @@ func runCorrection(ctx context.Context, cfg Config, tree *mining.Tree, rules []m
 	}
 }
 
-// shardCount normalizes the requested fan-out: the explicit worker count
-// when ShardWorkers is set, else Shards, with "no sharding" always 0.
-func (c Config) shardCount() int {
-	if n := len(c.ShardWorkers); n > 0 {
-		return n
-	}
-	if c.Shards > 1 {
-		return c.Shards
-	}
-	return 0
-}
-
 // schedule returns the permutation round schedule of a normalized config:
 // the configured adaptive one, or — for a fixed run of Permutations — the
 // one-round schedule over [0, Permutations) in which nothing retires.
@@ -414,28 +397,19 @@ func (c Config) schedule() permute.Adaptive {
 }
 
 // permSource builds cfg's permutation round runner over the scored rules:
-// a single-node engine's ShardSpan, or — when sharding is requested — a
-// shard coordinator's Span bound to ctx. The engine defers its labels, so
-// each span builds only the label block it evaluates (the full range
-// memoises one). The default in-process shard workers share one such
-// engine; explicit ShardWorkers (the server's HTTP peers) take precedence
-// and each evaluate their spans remotely.
+// a single-node engine's ShardSpan, or — when ShardWorkers is set — a
+// shard coordinator's Span over those workers, bound to ctx. The engine
+// defers its labels, so each span builds only the label block it
+// evaluates (the full range memoises one).
 func (c Config) permSource(ctx context.Context, tree *mining.Tree, rules []mining.Rule) (permute.RoundRunner, error) {
-	workers := c.ShardWorkers
-	if len(workers) == 0 {
+	if len(c.ShardWorkers) == 0 {
 		e, err := permute.NewEngine(tree, rules, c.permConfig(ctx))
 		if err != nil {
 			return nil, err
 		}
-		if c.Shards <= 1 {
-			return e.ShardSpan, nil
-		}
-		workers = make([]shard.Worker, c.Shards)
-		for i := range workers {
-			workers[i] = shard.NewLocal(e)
-		}
+		return e.ShardSpan, nil
 	}
-	coord, err := shard.NewCoordinator(workers, len(rules))
+	coord, err := shard.NewCoordinator(c.ShardWorkers, len(rules))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/colstore"
 	"repro/internal/dataset"
 	"repro/internal/permute"
+	"repro/internal/shard"
 )
 
 // The statistical golden-test corpus: three tiny hand-checkable datasets
@@ -319,6 +321,29 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 }
 
+// peerWorker is a loopback shard peer: it evaluates each assignment with
+// Session.ShardSpan, exactly the call a server's /shard handler makes,
+// minus the HTTP hop.
+type peerWorker struct {
+	sess *Session
+	cfg  Config
+}
+
+func (p peerWorker) Span(ctx context.Context, req shard.Request) (*shard.Reply, error) {
+	return p.sess.ShardSpan(ctx, p.cfg, req)
+}
+
+// withPeers fans cfg out to n loopback peers over sess (n = 0 leaves it
+// single-node).
+func withPeers(sess *Session, cfg Config, n int) Config {
+	workers := make([]shard.Worker, n)
+	for i := range workers {
+		workers[i] = peerWorker{sess: sess, cfg: cfg}
+	}
+	cfg.ShardWorkers = workers
+	return cfg
+}
+
 // goldenShardedFile records the distributed e2e entry of the corpus: every
 // permutation config of one dataset evaluated across coordinated shards.
 type goldenShardedFile struct {
@@ -329,7 +354,8 @@ type goldenShardedFile struct {
 
 // TestGoldenShardedCorpus is the distributed half of the golden contract:
 // the permutation and adaptive configs of the corpus run across 3
-// coordinated in-process shards must byte-reproduce both the committed
+// loopback peers (Session.ShardSpan, the peer's /shard call) must
+// byte-reproduce both the committed
 // sharded golden file and the corresponding single-node outcomes in the
 // per-dataset golden JSON — sharding may move work, never answers.
 // Regenerate with: go test ./internal/core -run TestGoldenSharded -update
@@ -345,10 +371,9 @@ func TestGoldenShardedCorpus(t *testing.T) {
 			continue
 		}
 		cfg := entry.cfg
-		cfg.Shards = shards
 		cfg.Opt = permute.OptStaticBuffer
 		cfg.OptSet = true
-		res, err := sess.Run(cfg)
+		res, err := sess.Run(withPeers(sess, cfg, shards))
 		if err != nil {
 			t.Fatalf("%s/%s shards=%d: %v", gc.name, entry.name, shards, err)
 		}
@@ -423,7 +448,7 @@ type goldenSegmentedFile struct {
 // TestGoldenSegmentedCorpus is the out-of-core third of the golden
 // contract: the permutation and adaptive configs of the corpus dataset,
 // mined from a segment store split into 7-record segments and fanned
-// across 3 shards, must byte-reproduce both the committed segmented
+// across 3 loopback peers, must byte-reproduce both the committed segmented
 // golden file and the sharded golden outcomes — storage layout may move
 // bytes, never answers.
 // Regenerate with: go test ./internal/core -run TestGoldenSegmented -update
@@ -450,10 +475,9 @@ func TestGoldenSegmentedCorpus(t *testing.T) {
 			continue
 		}
 		cfg := entry.cfg
-		cfg.Shards = shards
 		cfg.Opt = permute.OptStaticBuffer
 		cfg.OptSet = true
-		res, err := sess.Run(cfg)
+		res, err := sess.Run(withPeers(sess, cfg, shards))
 		if err != nil {
 			t.Fatalf("%s/%s shards=%d: %v", gc.name, entry.name, shards, err)
 		}

@@ -67,10 +67,10 @@ type permKey struct {
 	adaptive permute.Adaptive
 	alpha    float64 // zero unless adaptive
 	control  Control // ControlFWER unless adaptive
-	// shards is the normalized shard count (0 = single-node). Sharding
-	// never changes results, but a sharded group runs through the
-	// coordinator rather than a plain engine, so the requested fan-out
-	// must not be silently dropped by group sharing.
+	// shards is len(ShardWorkers) (0 = single-node). Sharding never
+	// changes results, but a sharded group runs through the coordinator
+	// rather than a plain engine, so the requested fan-out must not be
+	// silently dropped by group sharing.
 	shards int
 }
 
@@ -83,7 +83,7 @@ func (c Config) permKey() permKey {
 		seed:   c.Seed,
 		opt:    c.Opt,
 		budget: c.StaticBudget,
-		shards: c.shardCount(),
+		shards: len(c.ShardWorkers),
 	}
 	if c.Adaptive.Enabled() {
 		k.perms = 0
@@ -796,9 +796,9 @@ func (s *Session) runPermGroup(ctx context.Context, norm []Config, idxs []int, r
 // mine/score stages (cached and shared with ordinary runs of the same
 // parameters); the permutation engine itself is built per call with
 // deferred labels, bound to ctx, so a worker only ever materialises the
-// label blocks of the ranges it is assigned. cfg's own Shards/ShardWorkers
-// fields are ignored: a shard evaluation is a leaf of the fan-out and
-// never fans out further.
+// label blocks of the ranges it is assigned. cfg's own ShardWorkers are
+// ignored: a shard evaluation is a leaf of the fan-out, never a
+// coordinator.
 func (s *Session) ShardSpan(ctx context.Context, cfg Config, req shard.Request) (*shard.Reply, error) {
 	cfg, err := cfg.withDefaults(s.src.NumRecords())
 	if err != nil {

@@ -38,7 +38,8 @@ func storeFixture(t *testing.T, seed uint64, segRecords int) (csvText string, me
 // TestStoreSessionMatchesInMemory is the tentpole byte-identity
 // property: a session prepared from a segment store must produce
 // bit-for-bit the results of a session over the equivalent in-memory
-// dataset, at every optimisation level × worker count × shard fan-out.
+// dataset, at every optimisation level × worker count × loopback-peer
+// fan-out.
 func TestStoreSessionMatchesInMemory(t *testing.T) {
 	_, mem, store := storeFixture(t, 31, 173)
 	memSess := NewSession(mem)
@@ -75,14 +76,13 @@ func TestStoreSessionMatchesInMemory(t *testing.T) {
 					Seed:         11,
 					Opt:          opt,
 					Workers:      workers,
-					Shards:       shards,
 				}
 				label := fmt.Sprintf("opt=%v workers=%d shards=%d", opt, workers, shards)
-				want, err := memSess.Run(cfg)
+				want, err := memSess.Run(withPeers(memSess, cfg, shards))
 				if err != nil {
 					t.Fatalf("%s: in-memory: %v", label, err)
 				}
-				got, err := storeSess.Run(cfg)
+				got, err := storeSess.Run(withPeers(storeSess, cfg, shards))
 				if err != nil {
 					t.Fatalf("%s: store-backed: %v", label, err)
 				}
@@ -152,13 +152,11 @@ func TestStoreSessionAppendInvalidates(t *testing.T) {
 	freshSess := NewSession(grown)
 
 	for _, shards := range []int{0, 3} {
-		c := cfg
-		c.Shards = shards
-		want, err := freshSess.Run(c)
+		want, err := freshSess.Run(withPeers(freshSess, cfg, shards))
 		if err != nil {
 			t.Fatalf("shards=%d: fresh in-memory: %v", shards, err)
 		}
-		got, err := storeSess.Run(c)
+		got, err := storeSess.Run(withPeers(storeSess, cfg, shards))
 		if err != nil {
 			t.Fatalf("shards=%d: store-backed after append: %v", shards, err)
 		}

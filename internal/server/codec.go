@@ -13,19 +13,15 @@ import (
 // the library defaults (Alpha 0.05, 1000 permutations, Fisher test, all
 // CPUs).
 type ConfigJSON struct {
-	MinSup       int     `json:"min_sup,omitempty"`
-	MinSupFrac   float64 `json:"min_sup_frac,omitempty"`
-	MinConf      float64 `json:"min_conf,omitempty"`
-	Alpha        float64 `json:"alpha,omitempty"`
-	Control      string  `json:"control,omitempty"`
-	Method       string  `json:"method,omitempty"`
-	Permutations int     `json:"permutations,omitempty"`
-	Seed         uint64  `json:"seed,omitempty"`
-	Workers      int     `json:"workers,omitempty"`
-	// Shards splits a permutation run's index range across that many
-	// disjoint contiguous shards (0 or 1 = single-node); results are
-	// byte-identical regardless of the count.
-	Shards            int     `json:"shards,omitempty"`
+	MinSup            int     `json:"min_sup,omitempty"`
+	MinSupFrac        float64 `json:"min_sup_frac,omitempty"`
+	MinConf           float64 `json:"min_conf,omitempty"`
+	Alpha             float64 `json:"alpha,omitempty"`
+	Control           string  `json:"control,omitempty"`
+	Method            string  `json:"method,omitempty"`
+	Permutations      int     `json:"permutations,omitempty"`
+	Seed              uint64  `json:"seed,omitempty"`
+	Workers           int     `json:"workers,omitempty"`
 	MaxLen            int     `json:"max_len,omitempty"`
 	MaxNodes          int     `json:"max_nodes,omitempty"`
 	Test              string  `json:"test,omitempty"`
@@ -55,7 +51,6 @@ func (c ConfigJSON) ToConfig() (core.Config, error) {
 		Permutations:      c.Permutations,
 		Seed:              c.Seed,
 		Workers:           c.Workers,
-		Shards:            c.Shards,
 		MaxLen:            c.MaxLen,
 		MaxNodes:          c.MaxNodes,
 		RedundancyEpsilon: c.RedundancyEpsilon,

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/disc"
+	"repro/internal/shard"
 )
 
 // Options configures the HTTP mining service.
@@ -31,15 +32,10 @@ type Options struct {
 	MaxUploadBytes int64
 	// Log receives request-level diagnostics (default log.Default()).
 	Log *log.Logger
-	// DefaultShards splits permutation runs whose config leaves shards
-	// unset across this many shards (0 or 1 = single-node). Results are
-	// byte-identical either way; sharding only changes where the counting
-	// happens.
-	DefaultShards int
 	// ShardPeers lists peer base URLs (e.g. "http://host:8080") holding
-	// the same datasets. When a permutation run shards and peers are
-	// configured, the coordinator POSTs shard assignments to the peers'
-	// /v1/datasets/{name}/shard endpoints instead of counting in-process.
+	// the same datasets. Every permutation run then splits into one shard
+	// per entry (a peer listed twice gets two), each POSTed to that
+	// peer's /v1/datasets/{name}/shard endpoint; empty = single-node.
 	ShardPeers []string
 	// StoreDir, when set, switches uploads to out-of-core mode: each CSV
 	// upload streams into a segment store at StoreDir/{name} instead of
@@ -182,8 +178,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // mineStatus maps a pipeline error to an HTTP status: deadline overruns
 // are the server's fault (504), an incomplete stage is an internal fault
-// (500), everything else — config validation, node-budget exhaustion — is
-// the request's (422).
+// (500), a failed shard peer is an upstream fault (502), everything else —
+// config validation, node-budget exhaustion — is the request's (422).
 func mineStatus(err error) int {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusGatewayTimeout
@@ -193,6 +189,9 @@ func mineStatus(err error) int {
 	}
 	if errors.Is(err, core.ErrStageIncomplete) {
 		return http.StatusInternalServerError
+	}
+	if errors.Is(err, shard.ErrPeer) {
+		return http.StatusBadGateway
 	}
 	return http.StatusUnprocessableEntity
 }

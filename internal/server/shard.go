@@ -50,33 +50,23 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-// applyShards finishes a decoded mining config's shard wiring: the shard
-// count defaults from the server options, and when the run shards with
-// peers configured, the config gains one HTTP worker per shard —
-// round-robin over the peers — so the session's coordinator fans the
-// permutation range out over the wire. Without peers the count alone makes
-// the session shard in-process, which is the conformance-testing
-// configuration. The peers receive the client's own wire config, so they
-// resolve the identical prepared session (their ShardSpan ignores the
-// shard fields — a worker is a leaf of the fan-out, never a coordinator).
+// applyShards gives a decoded permutation config one HTTP shard worker per
+// entry of the peer list (none without peers: single-node). The peers
+// receive the client's own wire config, so they resolve the identical
+// prepared session.
 func (s *Server) applyShards(cfg *core.Config, cj ConfigJSON, name string) error {
-	if cfg.Shards == 0 {
-		cfg.Shards = s.opts.DefaultShards
-	}
-	if cfg.Method != core.MethodPermutation || cfg.Shards <= 1 || len(s.opts.ShardPeers) == 0 {
+	if cfg.Method != core.MethodPermutation || len(s.opts.ShardPeers) == 0 {
 		return nil
 	}
-	cj.Shards = cfg.Shards
 	raw, err := json.Marshal(cj)
 	if err != nil {
 		return fmt.Errorf("server: encoding peer config: %w", err)
 	}
-	workers := make([]shard.Worker, cfg.Shards)
-	for i := range workers {
-		peer := strings.TrimSuffix(s.opts.ShardPeers[i%len(s.opts.ShardPeers)], "/")
+	workers := make([]shard.Worker, len(s.opts.ShardPeers))
+	for i, peer := range s.opts.ShardPeers {
 		workers[i] = &shard.HTTP{
 			Client: s.shardClient,
-			URL:    peer + "/v1/datasets/" + url.PathEscape(name) + "/shard",
+			URL:    strings.TrimSuffix(peer, "/") + "/v1/datasets/" + url.PathEscape(name) + "/shard",
 			Config: raw,
 		}
 	}

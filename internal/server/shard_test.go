@@ -4,11 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/shard"
 )
 
 // mineBody is the permutation config every sharded-serving test mines
@@ -16,14 +22,15 @@ import (
 // answer.
 const mineBody = `{"min_sup": 60, "method": "permutation", "permutations": 120, "seed": 5, "control": "fwer"}`
 
-func shardedBody(shards int) string {
-	return fmt.Sprintf(`{"min_sup": 60, "method": "permutation", "permutations": 120, "seed": 5, "control": "fwer", "shards": %d}`, shards)
-}
+// batchBody mines mineBody's FWER config together with its FDR twin.
+const batchBody = `[` + mineBody + `, {"min_sup": 60, "method": "permutation", "permutations": 120, "seed": 5, "control": "fdr"}]`
 
-// TestServerShardedMineByteIdentical: the same mine request at shards 1,
-// in-process shards 3, and HTTP fan-out over a peer must return
-// byte-identical bodies (timings zeroed) — the serving layer's half of the
-// conformance contract.
+// TestServerShardedMineByteIdentical: the same mine request single-node
+// and fanned out over HTTP to one peer, or to that peer listed three
+// times, must return byte-identical bodies (timings zeroed) — the serving
+// layer's half of the conformance contract. A fleet with a failed peer
+// answers 502 naming that peer, and a config still carrying the retired
+// "shards" field is refused.
 func TestServerShardedMineByteIdentical(t *testing.T) {
 	d := signalDataset(t, 3)
 
@@ -32,11 +39,14 @@ func TestServerShardedMineByteIdentical(t *testing.T) {
 	if _, err := peerSrv.Registry().Register("sig", d); err != nil {
 		t.Fatal(err)
 	}
-
-	// The coordinator: same dataset, fans sharded runs out to the peer.
-	coordSrv, coordTS := newTestServer(t, 4, Options{ShardPeers: []string{peerTS.URL}})
-	if _, err := coordSrv.Registry().Register("sig", d); err != nil {
-		t.Fatal(err)
+	// coordinator starts a server holding the same dataset that fans
+	// permutation runs out to peers, one shard per entry.
+	coordinator := func(peers ...string) string {
+		srv, ts := newTestServer(t, 4, Options{ShardPeers: peers, Timeout: time.Second})
+		if _, err := srv.Registry().Register("sig", d); err != nil {
+			t.Fatal(err)
+		}
+		return ts.URL
 	}
 
 	status, single := post(t, peerTS.URL+"/v1/datasets/sig/mine", mineBody)
@@ -44,45 +54,109 @@ func TestServerShardedMineByteIdentical(t *testing.T) {
 		t.Fatalf("single-node mine: status %d: %s", status, single)
 	}
 	want := canonBody(t, single)
-
-	// In-process sharding on the peer (no ShardPeers configured there).
-	status, inproc := post(t, peerTS.URL+"/v1/datasets/sig/mine", shardedBody(3))
+	status, singleBatch := post(t, peerTS.URL+"/v1/datasets/sig/batch", batchBody)
 	if status != 200 {
-		t.Fatalf("in-process sharded mine: status %d: %s", status, inproc)
+		t.Fatalf("single-node batch: status %d: %s", status, singleBatch)
 	}
-	if got := canonBody(t, inproc); string(got) != string(want) {
-		t.Fatalf("in-process sharded mine diverged:\n got %s\nwant %s", got, want)
+	wantBatch := canonBatchBody(t, singleBatch)
+
+	for _, peers := range [][]string{{peerTS.URL}, {peerTS.URL, peerTS.URL, peerTS.URL}} {
+		coordURL := coordinator(peers...)
+		status, fanned := post(t, coordURL+"/v1/datasets/sig/mine", mineBody)
+		if status != 200 {
+			t.Fatalf("%d-peer mine: status %d: %s", len(peers), status, fanned)
+		}
+		if got := canonBody(t, fanned); string(got) != string(want) {
+			t.Fatalf("%d-peer mine diverged:\n got %s\nwant %s", len(peers), got, want)
+		}
+		status, fanned = post(t, coordURL+"/v1/datasets/sig/batch", batchBody)
+		if status != 200 {
+			t.Fatalf("%d-peer batch: status %d: %s", len(peers), status, fanned)
+		}
+		if got := canonBatchBody(t, fanned); string(got) != string(wantBatch) {
+			t.Fatalf("%d-peer batch diverged:\n got %s\nwant %s", len(peers), got, wantBatch)
+		}
 	}
 
-	// HTTP fan-out: the coordinator posts shard assignments to the peer.
-	status, fanned := post(t, coordTS.URL+"/v1/datasets/sig/mine", shardedBody(3))
-	if status != 200 {
-		t.Fatalf("fanned-out sharded mine: status %d: %s", status, fanned)
+	// A failed peer is an upstream fault (502) named by its URL — never
+	// the 499 of the cancellation it causes in its healthy siblings, nor
+	// a 422 blaming the client's config. A peer that stalls past the
+	// request deadline is still a 504.
+	deadTS := httptest.NewServer(http.NotFoundHandler())
+	deadTS.Close()
+	_, emptyTS := newTestServer(t, 4, Options{}) // holds no dataset: /shard 404s
+	stallTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // lets the server notice the client hanging up
+		<-r.Context().Done()
+	}))
+	t.Cleanup(stallTS.Close)
+	for _, tc := range []struct {
+		name   string
+		peers  []string
+		status int
+		names  string
+	}{
+		{"live+dead", []string{peerTS.URL, deadTS.URL}, http.StatusBadGateway, deadTS.URL},
+		{"dead", []string{deadTS.URL}, http.StatusBadGateway, deadTS.URL},
+		{"404", []string{emptyTS.URL}, http.StatusBadGateway, emptyTS.URL},
+		{"stalled", []string{peerTS.URL, stallTS.URL}, http.StatusGatewayTimeout, ""},
+	} {
+		coordURL := coordinator(tc.peers...)
+		for _, ep := range []struct{ path, body string }{{"mine", mineBody}, {"batch", batchBody}} {
+			status, body := post(t, coordURL+"/v1/datasets/sig/"+ep.path, ep.body)
+			if status != tc.status || !strings.Contains(string(body), tc.names) {
+				t.Errorf("%s peers, /%s: status %d (%s), want %d naming %q", tc.name, ep.path, status, body, tc.status, tc.names)
+			}
+		}
 	}
-	if got := canonBody(t, fanned); string(got) != string(want) {
-		t.Fatalf("HTTP fan-out mine diverged:\n got %s\nwant %s", got, want)
+
+	// The shard count is no longer a config field: the peer list sets it.
+	stale := `{"min_sup": 60, "method": "permutation", "permutations": 120, "seed": 5, "control": "fwer", "shards": 3}`
+	if status, body := post(t, peerTS.URL+"/v1/datasets/sig/mine", stale); status != 400 || !strings.Contains(string(body), "shards") {
+		t.Fatalf("config carrying shards: status %d (%s), want 400 naming the field", status, body)
 	}
 }
 
-// TestServerDefaultShards: a server started with DefaultShards shards
-// every permutation config that leaves the count unset, and the result
+// TestServerPeerListSetsFanOut: a server started with ShardPeers runs
+// every permutation config as one shard per listed peer — a peer listed
+// three times receives three assignments for a fixed run — while
+// non-permutation methods never touch the peers, and the sharded result
 // still matches single-node output.
-func TestServerDefaultShards(t *testing.T) {
+func TestServerPeerListSetsFanOut(t *testing.T) {
 	d := signalDataset(t, 3)
-	plainSrv, plainTS := newTestServer(t, 4, Options{})
-	shardSrv, shardTS := newTestServer(t, 4, Options{DefaultShards: 3})
-	for _, s := range []*Server{plainSrv, shardSrv} {
-		if _, err := s.Registry().Register("sig", d); err != nil {
-			t.Fatal(err)
-		}
+	peerSrv, _ := newTestServer(t, 4, Options{})
+	if _, err := peerSrv.Registry().Register("sig", d); err != nil {
+		t.Fatal(err)
 	}
-	_, plain := post(t, plainTS.URL+"/v1/datasets/sig/mine", mineBody)
-	status, sharded := post(t, shardTS.URL+"/v1/datasets/sig/mine", mineBody)
+	var assignments atomic.Int64
+	peerTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/shard") {
+			assignments.Add(1)
+		}
+		peerSrv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(peerTS.Close)
+	coordSrv, coordTS := newTestServer(t, 4, Options{ShardPeers: []string{peerTS.URL, peerTS.URL, peerTS.URL}})
+	if _, err := coordSrv.Registry().Register("sig", d); err != nil {
+		t.Fatal(err)
+	}
+
+	_, plain := post(t, peerTS.URL+"/v1/datasets/sig/mine", mineBody)
+	status, sharded := post(t, coordTS.URL+"/v1/datasets/sig/mine", mineBody)
 	if status != 200 {
-		t.Fatalf("default-sharded mine: status %d: %s", status, sharded)
+		t.Fatalf("peer-sharded mine: status %d: %s", status, sharded)
 	}
 	if string(canonBody(t, sharded)) != string(canonBody(t, plain)) {
-		t.Fatal("DefaultShards mine diverged from single-node output")
+		t.Fatal("peer-sharded mine diverged from single-node output")
+	}
+	if n := assignments.Load(); n != 3 {
+		t.Fatalf("a fixed run over 3 listed peers posted %d shard assignments, want 3", n)
+	}
+	if status, body := post(t, coordTS.URL+"/v1/datasets/sig/mine", `{"min_sup": 60, "method": "direct"}`); status != 200 {
+		t.Fatalf("direct mine: status %d: %s", status, body)
+	}
+	if n := assignments.Load(); n != 3 {
+		t.Fatalf("a direct run posted %d shard assignments", n-3)
 	}
 }
 
@@ -147,6 +221,17 @@ func TestServerShardEndpoint(t *testing.T) {
 	}
 }
 
+// loopbackPeer is a shard peer without the HTTP hop: it evaluates each
+// assignment with Session.ShardSpan, the call the /shard handler makes.
+type loopbackPeer struct {
+	sess *core.Session
+	cfg  core.Config
+}
+
+func (p loopbackPeer) Span(ctx context.Context, req shard.Request) (*shard.Reply, error) {
+	return p.sess.ShardSpan(ctx, p.cfg, req)
+}
+
 // TestServerShardedMineSurvivesEviction: sharded mines hold their session
 // (resolved through Get, exactly as the handler does) while the registry
 // evicts the dataset underneath them — every run must complete with the
@@ -172,7 +257,10 @@ func TestServerShardedMineSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	scfg := cfg
-	scfg.Shards = 3
+	scfg.ShardWorkers = make([]shard.Worker, 3)
+	for i := range scfg.ShardWorkers {
+		scfg.ShardWorkers[i] = loopbackPeer{sess: sess, cfg: cfg}
+	}
 
 	var wg sync.WaitGroup
 	results := make([]*core.Result, 4)

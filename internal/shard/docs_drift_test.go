@@ -34,7 +34,6 @@ func TestDesignDocumentsSharding(t *testing.T) {
 		"/v1/datasets/{name}/shard",
 		"//armine:deterministic",
 		"FuzzShardMerge",
-		"-shards",
 		"-shard-peers",
 		"retirement frontier",
 		"AdaptiveResult",
@@ -54,10 +53,8 @@ func TestReadmeDocumentsDistributedMining(t *testing.T) {
 	sec := readme[strings.Index(readme, heading):]
 	for _, want := range []string{
 		"byte-identical",
-		"-shards",
 		"-shard-peers",
 		"/v1/datasets/{name}/shard",
-		`"shards"`,
 		"DESIGN.md §10",
 	} {
 		if !strings.Contains(sec, want) {

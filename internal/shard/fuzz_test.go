@@ -1,7 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -85,5 +88,44 @@ func FuzzShardMerge(f *testing.F) {
 		} else if st.PoolHist != nil {
 			t.Fatal("pool histogram materialised without being requested")
 		}
+	})
+}
+
+// FuzzShardReply drives arbitrary peer bytes through the HTTP worker's
+// strict reply decoder: any reply it accepts must re-encode and decode to
+// an equal Reply — float64s bit for bit — and merging it over its own
+// range must return statistics or an error, never panic.
+func FuzzShardReply(f *testing.F) {
+	f.Add([]byte(`{"shard":0,"lo":0,"hi":2,"min_p":[0.5,1],"pool_hist":[1,2,0]}`), 2, true)
+	f.Add([]byte(`{"shard":1,"lo":3,"hi":5,"min_p":[-0,4.9e-324]}`), 1, false)
+	f.Add([]byte(`{"shard":0,"lo":0,"hi":2,"min_p":[0.5,1]} {}`), 2, false)           // trailing content
+	f.Add([]byte(`{"shard":0,"lo":0,"hi":2,"min_p":[0.5,1],"own_le":[1]}`), 2, false) // unknown field
+	f.Add([]byte(`{"shard":0,"lo":0,"hi":2,"min_p":[],"pool_hist":[]}`), 0, true)     // empty slices
+	f.Add([]byte(`{"SHARD":2,"lo":-1,"hi":9007199254740993,"min_p":null}`), 3, true)  // odd casing, bad range
+	f.Add([]byte(`{"shard":0,"lo":0,"hi":1,"min_p":[1e400]}`), 1, false)              // out-of-range float
+	f.Add([]byte(`null`), 0, false)
+
+	f.Fuzz(func(t *testing.T, data []byte, numRules int, withPool bool) {
+		rep, err := decodeReply(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("re-encoding accepted reply %+v: %v", rep, err)
+		}
+		again, err := decodeReply(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-decoding %s: %v", enc, err)
+		}
+		bitEqual := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if again.Shard != rep.Shard || again.Lo != rep.Lo || again.Hi != rep.Hi ||
+			!slices.EqualFunc(again.MinP, rep.MinP, bitEqual) || !slices.Equal(again.PoolHist, rep.PoolHist) {
+			t.Fatalf("reply changed across a round trip:\n got %+v\nwant %+v", again, rep)
+		}
+		if numRules < 0 || numRules > 64 || rep.Hi-rep.Lo > 1<<16 {
+			return
+		}
+		Merge(rep.Lo, rep.Hi, numRules, []*Reply{rep}, withPool)
 	})
 }

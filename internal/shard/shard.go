@@ -1,9 +1,10 @@
 // Package shard distributes permutation counting across workers
 // (DESIGN.md §10): a coordinator partitions the absolute permutation-index
 // range [0, MaxPerms) into disjoint contiguous shards, dispatches them to
-// workers that each hold the same prepared session — in-process engines or
-// HTTP peers — and merges the per-shard minima and pooled histograms into
-// statistics bit-identical to a single-node permute.Engine span. The
+// workers that each hold the same prepared session — HTTP peers, or
+// in-process engines in tests — and merges the per-shard minima and
+// pooled histograms into statistics bit-identical to a single-node
+// permute.Engine span. The
 // (Seed, absolute index) label contract makes the partition invisible to
 // the statistics. Coordinator.Span is a permute.RoundRunner: adaptive
 // rounds stay exact because permute.DriveAdaptive makes every retirement
@@ -14,6 +15,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -72,9 +74,8 @@ func NewCoordinator(workers []Worker, numRules int) (*Coordinator, error) {
 // retirement frontier live (nil = every rule live) — one goroutine per
 // planned shard, replies collected by shard index so completion order
 // never leaks into the result — and merges the replies into statistics
-// bit-identical to Engine.ShardSpan over the same range. The first worker
-// error (by shard index) aborts the dispatch and cancels the remaining
-// shards.
+// bit-identical to Engine.ShardSpan over the same range. A worker error
+// aborts the dispatch and cancels the remaining shards.
 func (c *Coordinator) Span(ctx context.Context, lo, hi int, live []bool, withPool bool) (*permute.ShardStats, error) {
 	plan := Plan(lo, hi, len(c.workers))
 	retired := RetiredFromLive(live)
@@ -99,10 +100,17 @@ func (c *Coordinator) Span(ctx context.Context, lo, hi int, live []bool, withPoo
 		// The caller's own context ended; sibling errors are just echoes.
 		return nil, err
 	}
+	// Report the failing shard, not a sibling whose cancellation merely
+	// echoes the cancel above: the first error that is not a
+	// cancellation, else the first error.
+	failed := -1
 	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d [%d, %d): %w", s, plan[s][0], plan[s][1], err)
+		if err != nil && (failed < 0 || errors.Is(errs[failed], context.Canceled) && !errors.Is(err, context.Canceled)) {
+			failed = s
 		}
+	}
+	if failed >= 0 {
+		return nil, fmt.Errorf("shard %d [%d, %d): %w", failed, plan[failed][0], plan[failed][1], errs[failed])
 	}
 	return Merge(lo, hi, c.numRules, replies, withPool)
 }

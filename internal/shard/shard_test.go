@@ -257,19 +257,37 @@ func TestHTTPWorkerByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHTTPWorkerPeerError surfaces a peer's failure with its body excerpt.
+// TestHTTPWorkerPeerError: every peer failure — an error status (with its
+// body excerpt), a reply the strict codec refuses, an unreachable peer —
+// wraps ErrPeer and names the peer.
 func TestHTTPWorkerPeerError(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		http.Error(rw, "no such session", http.StatusNotFound)
-	}))
-	defer ts.Close()
-	h := &HTTP{URL: ts.URL}
-	_, err := h.Span(context.Background(), Request{Hi: 1})
-	if err == nil {
-		t.Fatal("expected an error from a 404 peer")
-	}
-	if got := err.Error(); !strings.Contains(got, "404") || !strings.Contains(got, "no such session") {
-		t.Fatalf("peer error %q lacks status or body excerpt", got)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	for name, tc := range map[string]struct {
+		reply string // "" = 404 with "no such session"
+		want  string
+	}{
+		"404":           {"", "no such session"},
+		"unknown field": {`{"shard":0,"lo":0,"hi":1,"min_p":[1],"own_le":[0]}`, "own_le"},
+		"trailing data": {`{"shard":0,"lo":0,"hi":1,"min_p":[1]} {}`, "trailing"},
+		"unreachable":   {"-", "Post"},
+	} {
+		url := dead.URL
+		if tc.reply != "-" {
+			ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				if tc.reply == "" {
+					http.Error(rw, "no such session", http.StatusNotFound)
+					return
+				}
+				rw.Write([]byte(tc.reply))
+			}))
+			defer ts.Close()
+			url = ts.URL
+		}
+		_, err := (&HTTP{URL: url}).Span(context.Background(), Request{Hi: 1})
+		if !errors.Is(err, ErrPeer) || !strings.Contains(fmt.Sprint(err), url) || !strings.Contains(fmt.Sprint(err), tc.want) {
+			t.Errorf("%s: peer error %v does not wrap ErrPeer, name %s and mention %q", name, err, url, tc.want)
+		}
 	}
 }
 
@@ -290,17 +308,32 @@ func (f *failingWorker) Span(ctx context.Context, req Request) (*Reply, error) {
 	return &Reply{Shard: req.Shard, Lo: req.Lo, Hi: req.Hi, MinP: minP}, nil
 }
 
+// blockingWorker holds every span until its context ends — a healthy
+// shard still counting when a sibling fails.
+type blockingWorker struct{}
+
+func (blockingWorker) Span(ctx context.Context, _ Request) (*Reply, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
 // TestCoordinatorWorkerErrorAborts: one failing worker fails the whole
-// span with the shard's range in the error, and cancels the siblings.
+// span with the shard's range in the error, and cancels the siblings. A
+// sibling that ends in that cancellation is an echo, never the error
+// reported, even at a lower shard index.
 func TestCoordinatorWorkerErrorAborts(t *testing.T) {
-	workers := []Worker{&failingWorker{after: 1 << 62}, &failingWorker{}}
-	coord, err := NewCoordinator(workers, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = coord.Span(context.Background(), 0, 10, nil, false)
-	if err == nil || !strings.Contains(err.Error(), "worker exploded") || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("coordinator error %v does not identify the failing shard", err)
+	for _, workers := range [][]Worker{
+		{&failingWorker{after: 1 << 62}, &failingWorker{}},
+		{blockingWorker{}, &failingWorker{}},
+	} {
+		coord, err := NewCoordinator(workers, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = coord.Span(context.Background(), 0, 10, nil, false)
+		if err == nil || !strings.Contains(err.Error(), "worker exploded") || !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("coordinator error %v does not identify the failing shard", err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,9 +22,8 @@ type Worker interface {
 }
 
 // Local is the in-process Worker: a thin wrapper over a permutation
-// engine. Several Local workers may share one engine — ShardSpan is safe
-// for concurrent spans and the shared engine keeps the label matrix and
-// node-word views materialised once.
+// engine, behind core's Session.ShardSpan (a peer's /shard endpoint) and
+// the conformance tests. Several Local workers may share one engine.
 type Local struct{ e *permute.Engine }
 
 // NewLocal wraps an engine (typically built with Config.DeferLabels so
@@ -43,6 +43,10 @@ func (l *Local) Span(_ context.Context, req Request) (*Reply, error) {
 	}
 	return &Reply{Shard: req.Shard, Lo: st.Lo, Hi: st.Hi, MinP: st.MinP, PoolHist: st.PoolHist}, nil
 }
+
+// ErrPeer wraps every failure of an HTTP peer: the post, a non-200
+// status, or a reply the strict codec refuses.
+var ErrPeer = errors.New("shard peer failed")
 
 // HTTP is the wire-transport Worker: each assignment is POSTed to a peer's
 // /v1/datasets/{name}/shard endpoint together with the mining config that
@@ -80,16 +84,31 @@ func (h *HTTP) Span(ctx context.Context, req Request) (*Reply, error) {
 	}
 	resp, err := client.Do(hreq)
 	if err != nil {
-		return nil, fmt.Errorf("shard: posting to %s: %w", h.URL, err)
+		return nil, fmt.Errorf("%w: %w", ErrPeer, err) // a *url.Error names the peer
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return nil, fmt.Errorf("shard: peer %s returned %s: %s", h.URL, resp.Status, bytes.TrimSpace(msg))
+		return nil, fmt.Errorf("%w: peer %s returned %s: %s", ErrPeer, h.URL, resp.Status, bytes.TrimSpace(msg))
 	}
+	rep, err := decodeReply(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: decoding reply from %s: %w", ErrPeer, h.URL, err)
+	}
+	return rep, nil
+}
+
+// decodeReply decodes one Reply strictly, rejecting unknown fields and
+// trailing content, so a peer on another codec version fails loudly.
+func decodeReply(r io.Reader) (*Reply, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	var rep Reply
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("shard: decoding reply from %s: %w", h.URL, err)
+	if err := dec.Decode(&rep); err != nil {
+		return nil, err
+	}
+	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
+		return nil, errors.New("trailing content after the reply object")
 	}
 	return &rep, nil
 }
