@@ -305,7 +305,10 @@ type Result struct {
 	// Perm carries the adaptive permutation engine's telemetry; nil for
 	// every non-adaptive run.
 	Perm *PermStats
-	// MineTime and CorrectTime split the wall-clock cost.
+	// MineTime and CorrectTime split the wall-clock cost. A batch config
+	// that shares a permutation null or a holdout explore-and-evaluate
+	// stage with others reports the group's shared cost plus its own
+	// decision as CorrectTime, so a group's CorrectTimes overlap.
 	MineTime    time.Duration
 	CorrectTime time.Duration
 }
@@ -478,31 +481,69 @@ func permOutcome(cfg Config, res *permute.AdaptiveResult, rules []mining.Rule) (
 	}
 }
 
-// runHoldout executes the two-phase holdout pipeline.
-func runHoldout(ctx context.Context, d *dataset.Dataset, cfg Config) (*Result, error) {
-	start := time.Now()
+// holdoutKey identifies a holdout's explore-and-evaluate stage: the split
+// and every input of the exploratory mine, scoring and p <= Alpha
+// candidate filter. Batch configs with equal holdoutKeys — HD_BC and
+// HD_BH on one split — share one stage and differ only in the decision
+// over its candidates. Workers is absent because the stage's output is
+// byte-identical for every worker count.
+type holdoutKey struct {
+	random        bool
+	seed          uint64 // zero unless random
+	minSupExplore int
+	maxLen        int
+	policy        mining.RuleClassPolicy
+	fixedClass    int32
+	alpha         float64
+}
+
+// holdoutKey derives the stage-sharing key of a normalized holdout config.
+func (c Config) holdoutKey() holdoutKey {
+	k := holdoutKey{
+		random:        c.HoldoutRandom,
+		minSupExplore: max(c.MinSup/c.HoldoutMinSupDivisor, 1),
+		maxLen:        c.MaxLen,
+		policy:        c.Policy,
+		fixedClass:    c.FixedClass,
+		alpha:         c.Alpha,
+	}
+	if c.HoldoutRandom {
+		k.seed = c.Seed
+	}
+	return k
+}
+
+// holdoutCandidates splits d as cfg asks and runs the holdout's
+// explore-and-evaluate stage; the result carries no Outcome yet.
+func holdoutCandidates(ctx context.Context, d *dataset.Dataset, cfg Config) (*correction.HoldoutResult, error) {
 	var explore, eval *dataset.Dataset
 	if cfg.HoldoutRandom {
 		explore, eval = d.RandomSplit(cfg.Seed)
 	} else {
 		explore, eval = d.SplitHalves()
 	}
-	minSupExplore := cfg.MinSup / cfg.HoldoutMinSupDivisor
-	if minSupExplore < 1 {
-		minSupExplore = 1
-	}
-	hres, err := correction.Holdout(explore, eval, correction.HoldoutConfig{
-		MinSupExplore: minSupExplore,
+	k := cfg.holdoutKey()
+	return correction.HoldoutCandidates(explore, eval, correction.HoldoutConfig{
+		MinSupExplore: k.minSupExplore,
 		Alpha:         cfg.Alpha,
-		UseFDR:        cfg.Control == ControlFDR,
 		Policy:        cfg.Policy,
 		Class:         cfg.FixedClass,
 		MaxLen:        cfg.MaxLen,
 		Workers:       cfg.Workers,
 		Ctx:           ctx,
 	})
-	if err != nil {
-		return nil, err
+}
+
+// holdoutResult decides cfg's HD_BC or HD_BH outcome over a shared
+// explore-and-evaluate stage and assembles the user-facing result. stage
+// is read only: the result gets its own HoldoutResult sharing stage's
+// Candidates. CorrectTime is the shared stage's cost plus this decision.
+func holdoutResult(d *dataset.Dataset, cfg Config, stage *correction.HoldoutResult, stageDur time.Duration) *Result {
+	start := time.Now()
+	hres := &correction.HoldoutResult{
+		NumExploreTested: stage.NumExploreTested,
+		Candidates:       stage.Candidates,
+		Outcome:          correction.HoldoutOutcome(stage.Candidates, cfg.Alpha, cfg.Control == ControlFDR),
 	}
 	res := &Result{
 		Method:      MethodHoldout,
@@ -514,7 +555,7 @@ func runHoldout(ctx context.Context, d *dataset.Dataset, cfg Config) (*Result, e
 		Cutoff:      hres.Outcome.Cutoff,
 		Outcome:     hres.Outcome,
 		Holdout:     hres,
-		CorrectTime: time.Since(start),
+		CorrectTime: stageDur + time.Since(start),
 	}
 	for _, i := range hres.Outcome.Significant {
 		c := &hres.Candidates[i]
@@ -535,7 +576,7 @@ func runHoldout(ctx context.Context, d *dataset.Dataset, cfg Config) (*Result, e
 		res.Significant = append(res.Significant, r)
 	}
 	sortRules(res.Significant)
-	return res, nil
+	return res
 }
 
 // toRule converts a mined rule into user-facing form.

@@ -271,8 +271,11 @@ type SessionStats struct {
 	// retirement avoided relative to fixed runs of the same budgets.
 	AdaptiveRuns int64
 	PermsSaved   int64
-	// Holdouts counts holdout runs, which bypass the shared stages (they
-	// mine the exploratory half, not the whole dataset).
+	// Holdouts counts executed holdout explore-and-evaluate stages, which
+	// bypass the shared stages (they mine the exploratory half, not the
+	// whole dataset). A batch runs one per group of configs sharing a
+	// split and its exploratory parameters, so HD_BC and HD_BH on one
+	// split count once; holdout decisions are not Corrections.
 	Holdouts int64
 	// TreeEvictions / RuleEvictions count cache entries dropped by the
 	// size bound (see CacheLimits). A long-lived session sweeping many
@@ -562,14 +565,12 @@ func (s *Session) run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.Method == MethodHoldout {
-		if cfg.Test != mining.TestFisher {
-			return nil, fmt.Errorf("core: the holdout method supports the Fisher test only")
+		if err := s.holdoutErr(cfg); err != nil {
+			return nil, err
 		}
-		if s.data == nil {
-			return nil, fmt.Errorf("core: the holdout method needs an in-memory dataset (it splits raw records); store-backed sessions support the other methods")
-		}
-		s.holdouts.Add(1)
-		return runHoldout(ctx, s.data, cfg)
+		results, errs := make([]*Result, 1), make([]error, 1)
+		s.runHoldoutGroup(ctx, []Config{cfg}, []int{0}, results, errs)
+		return results[0], errs[0]
 	}
 	rs, err := s.rulesFor(ctx, cfg)
 	if err != nil {
@@ -690,25 +691,39 @@ func (s *Session) RunBatch(ctx context.Context, cfgs []Config) ([]*Result, error
 	// permutation count, seed, optimisation level and budget) are grouped
 	// onto one engine: the label matrix and the tree-walk index are built
 	// once per group — the paper's FWER/FDR pairing — instead of once per
-	// config.
+	// config. Holdout configs sharing a split and its exploratory
+	// parameters are grouped the same way onto one explore-and-evaluate
+	// stage, which lives only as long as its group.
+	results := make([]*Result, len(norm))
+	errs := make([]error, len(norm))
 	groups := make(map[permKey][]int)
 	var groupKeys []permKey // deterministic group launch order
+	holdouts := make(map[holdoutKey][]int)
+	var holdoutKeys []holdoutKey
 	var singles []int
 	for i := range norm {
-		if norm[i].Method == MethodPermutation {
+		switch norm[i].Method {
+		case MethodPermutation:
 			k := norm[i].permKey()
 			k.rule.tree.version = ver // match the held-stage keys
 			if _, ok := groups[k]; !ok {
 				groupKeys = append(groupKeys, k)
 			}
 			groups[k] = append(groups[k], i)
-		} else {
+		case MethodHoldout:
+			if errs[i] = s.holdoutErr(norm[i]); errs[i] != nil {
+				continue
+			}
+			k := norm[i].holdoutKey()
+			if _, ok := holdouts[k]; !ok {
+				holdoutKeys = append(holdoutKeys, k)
+			}
+			holdouts[k] = append(holdouts[k], i)
+		default:
 			singles = append(singles, i)
 		}
 	}
 
-	results := make([]*Result, len(norm))
-	errs := make([]error, len(norm))
 	sem := make(chan struct{}, maxWorkers)
 	var wg sync.WaitGroup
 	for _, i := range singles {
@@ -717,14 +732,19 @@ func (s *Session) RunBatch(ctx context.Context, cfgs []Config) ([]*Result, error
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if norm[i].Method == MethodHoldout {
-				results[i], errs[i] = s.run(ctx, norm[i])
-			} else {
-				key := norm[i].ruleKey()
-				key.tree.version = ver
-				results[i], errs[i] = s.correctWith(ctx, norm[i], held[key])
-			}
+			key := norm[i].ruleKey()
+			key.tree.version = ver
+			results[i], errs[i] = s.correctWith(ctx, norm[i], held[key])
 		}(i)
+	}
+	for _, k := range holdoutKeys {
+		wg.Add(1)
+		go func(idxs []int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			s.runHoldoutGroup(ctx, norm, idxs, results, errs)
+		}(holdouts[k])
 	}
 	for _, k := range groupKeys {
 		idxs := groups[k]
@@ -787,6 +807,47 @@ func (s *Session) runPermGroup(ctx context.Context, norm []Config, idxs []int, r
 	if cfg0.Adaptive.Enabled() {
 		s.adaptiveRuns.Add(1)
 		s.permsSaved.Add(res.PermsSaved)
+	}
+}
+
+// holdoutErr reports why the session cannot run a holdout config: the
+// holdout re-tests with the Fisher test only, and it splits raw records.
+func (s *Session) holdoutErr(cfg Config) error {
+	if cfg.Test != mining.TestFisher {
+		return fmt.Errorf("core: the holdout method supports the Fisher test only")
+	}
+	if s.data == nil {
+		return fmt.Errorf("core: the holdout method needs an in-memory dataset (it splits raw records); store-backed sessions support the other methods")
+	}
+	return nil
+}
+
+// runHoldoutGroup evaluates holdout configs sharing one holdoutKey: one
+// split and one explore-and-evaluate stage serve every config in the
+// group, and each config takes its own HD_BC or HD_BH decision over the
+// shared, read-only candidates. Results are byte-identical to per-config
+// runs because the stage is fully determined by the holdoutKey. The stage
+// is dropped when the group returns; the session retains none.
+func (s *Session) runHoldoutGroup(ctx context.Context, norm []Config, idxs []int, results []*Result, errs []error) {
+	fail := func(err error) {
+		for _, i := range idxs {
+			errs[i] = err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		fail(err)
+		return
+	}
+	start := time.Now()
+	stage, err := holdoutCandidates(ctx, s.data, norm[idxs[0]])
+	if err != nil {
+		fail(err)
+		return
+	}
+	stageDur := time.Since(start)
+	s.holdouts.Add(1)
+	for _, i := range idxs {
+		results[i] = holdoutResult(s.data, norm[i], stage, stageDur)
 	}
 }
 

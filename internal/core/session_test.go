@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/correction"
 	"repro/internal/mining"
 	"repro/internal/permute"
 )
@@ -114,8 +115,9 @@ func TestSessionMatchesFreshRun(t *testing.T) {
 
 // TestSessionBatchSingleMine is the acceptance property: RunBatch over N
 // configs sharing mining parameters performs exactly one encode/mine/score
-// (stage counters), and every per-config result is byte-identical to a
-// fresh run.
+// (stage counters), holdout configs sharing a split share one
+// explore-and-evaluate stage, and every per-config result is
+// byte-identical to a fresh run.
 func TestSessionBatchSingleMine(t *testing.T) {
 	res := signalDataset(t, 22)
 	cfgs := []Config{
@@ -127,7 +129,14 @@ func TestSessionBatchSingleMine(t *testing.T) {
 		// Shares an engine with the FWER config above (same seed/perms).
 		{MinSup: 100, Method: MethodPermutation, Control: ControlFDR, Permutations: 50, Seed: 3},
 		{MinSup: 100, Method: MethodPermutation, Control: ControlFDR, Permutations: 80, Seed: 4},
+		// HD_BC and HD_BH on one random split share one stage; another
+		// seed or another Alpha (the exploratory filter) does not.
+		{MinSup: 100, Method: MethodHoldout, Control: ControlFWER, HoldoutRandom: true, Seed: 9},
+		{MinSup: 100, Method: MethodHoldout, Control: ControlFDR, HoldoutRandom: true, Seed: 9},
+		{MinSup: 100, Method: MethodHoldout, Control: ControlFWER, HoldoutRandom: true, Seed: 10},
+		{MinSup: 100, Method: MethodHoldout, Control: ControlFDR, HoldoutRandom: true, Seed: 9, Alpha: 0.01},
 	}
+	const bc, bh, otherSeed, otherAlpha = 7, 8, 9, 10
 	sess := NewSession(res.Data)
 	outs, err := sess.RunBatch(context.Background(), cfgs)
 	if err != nil {
@@ -141,8 +150,24 @@ func TestSessionBatchSingleMine(t *testing.T) {
 		t.Errorf("batch stage counters: encodes=%d mines=%d scores=%d, want 1/1/1",
 			st.Encodes, st.Mines, st.Scores)
 	}
-	if st.Corrections != int64(len(cfgs)) {
-		t.Errorf("corrections=%d, want %d", st.Corrections, len(cfgs))
+	if st.Corrections != bc {
+		t.Errorf("corrections=%d, want %d (one per non-holdout config)", st.Corrections, bc)
+	}
+	if st.Holdouts != 3 {
+		t.Errorf("holdouts=%d, want 3 (one per shared split)", st.Holdouts)
+	}
+	cands := func(i int) *correction.HoldoutRule {
+		c := outs[i].Holdout.Candidates
+		if len(c) == 0 {
+			t.Fatalf("config %d: no holdout candidates", i)
+		}
+		return &c[0]
+	}
+	if cands(bc) != cands(bh) {
+		t.Error("HD_BC and HD_BH on one split do not share their candidates")
+	}
+	if cands(otherSeed) == cands(bc) || cands(otherAlpha) == cands(bc) {
+		t.Error("holdouts with another seed or Alpha share candidates")
 	}
 	for i, cfg := range cfgs {
 		fresh, err := Run(res.Data, cfg)

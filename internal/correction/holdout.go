@@ -3,8 +3,10 @@ package correction
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/dataset"
+	"repro/internal/intset"
 	"repro/internal/mining"
 	"repro/internal/stats"
 )
@@ -54,7 +56,8 @@ type HoldoutResult struct {
 	// exploratory p-value order of discovery; Outcome indexes into it.
 	Candidates []HoldoutRule
 	// Outcome is the Bonferroni/BH decision over the candidates'
-	// evaluation p-values, with NumTests = len(Candidates).
+	// evaluation p-values, with NumTests = len(Candidates) (nil from
+	// HoldoutCandidates; see HoldoutOutcome).
 	Outcome *Outcome
 }
 
@@ -67,6 +70,21 @@ type HoldoutResult struct {
 // The two datasets must share the same schema (they are the two halves of
 // one dataset).
 func Holdout(explore, eval *dataset.Dataset, cfg HoldoutConfig) (*HoldoutResult, error) {
+	res, err := HoldoutCandidates(explore, eval, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Outcome = HoldoutOutcome(res.Candidates, cfg.Alpha, cfg.UseFDR)
+	return res, nil
+}
+
+// HoldoutCandidates is the part of Holdout that the error measure does not
+// touch: mine and score the exploratory dataset, keep the rules with
+// exploratory p-value <= Alpha, and re-test them on the evaluation
+// dataset. cfg.UseFDR is ignored and the result's Outcome is nil, so the
+// HD_BC and HD_BH decisions on one split can share one call through
+// HoldoutOutcome.
+func HoldoutCandidates(explore, eval *dataset.Dataset, cfg HoldoutConfig) (*HoldoutResult, error) {
 	if explore.Schema != eval.Schema {
 		return nil, fmt.Errorf("correction: holdout halves must share a schema")
 	}
@@ -93,16 +111,7 @@ func Holdout(explore, eval *dataset.Dataset, cfg HoldoutConfig) (*HoldoutResult,
 	}
 
 	res := &HoldoutResult{NumExploreTested: len(rules)}
-
-	// Evaluation-side statistics substrate.
-	evalN := eval.NumRecords()
-	evalClassCounts := eval.ClassCounts()
-	lf := stats.NewLogFact(evalN)
-	hyper := make([]*stats.Hypergeom, len(evalClassCounts))
-	for c := range hyper {
-		hyper[c] = stats.NewHypergeom(evalN, evalClassCounts[c], lf)
-	}
-
+	ev := newEvalHalf(eval)
 	for i := range rules {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -112,15 +121,6 @@ func Holdout(explore, eval *dataset.Dataset, cfg HoldoutConfig) (*HoldoutResult,
 			continue
 		}
 		attrs, vals := patternOf(enc.Enc, r.Node.Closure)
-		cvg, supp := 0, 0
-		for rec := 0; rec < evalN; rec++ {
-			if eval.ContainsPattern(rec, attrs, vals) {
-				cvg++
-				if eval.Labels[rec] == r.Class {
-					supp++
-				}
-			}
-		}
 		hr := HoldoutRule{
 			Attrs:       attrs,
 			Vals:        vals,
@@ -128,29 +128,92 @@ func Holdout(explore, eval *dataset.Dataset, cfg HoldoutConfig) (*HoldoutResult,
 			ExploreCvg:  r.Coverage,
 			ExploreSupp: r.Support,
 			ExploreP:    r.P,
-			EvalCvg:     cvg,
-			EvalSupp:    supp,
 			EvalP:       1,
 		}
-		if cvg > 0 {
-			hr.EvalConf = float64(supp) / float64(cvg)
-			hr.EvalP = hyper[r.Class].FisherTwoTailed(supp, cvg)
+		hr.EvalCvg, hr.EvalSupp = ev.counts(r.Node.Closure, r.Class)
+		if hr.EvalCvg > 0 {
+			hr.EvalConf = float64(hr.EvalSupp) / float64(hr.EvalCvg)
+			hr.EvalP = ev.pools[r.Class].PValue(hr.EvalCvg, hr.EvalSupp)
 		}
 		res.Candidates = append(res.Candidates, hr)
 	}
-
-	evalPs := make([]float64, len(res.Candidates))
-	for i := range res.Candidates {
-		evalPs[i] = res.Candidates[i].EvalP
-	}
-	if cfg.UseFDR {
-		res.Outcome = BenjaminiHochberg(evalPs, len(evalPs), cfg.Alpha)
-		res.Outcome.Method = "HD_BH"
-	} else {
-		res.Outcome = Bonferroni(evalPs, len(evalPs), cfg.Alpha)
-		res.Outcome.Method = "HD_BC"
-	}
 	return res, nil
+}
+
+// HoldoutOutcome is the holdout's decision over its candidates'
+// evaluation p-values: Benjamini–Hochberg (HD_BH) when useFDR is set,
+// Bonferroni (HD_BC) otherwise, with NumTests = len(cands). It reads
+// cands only, so several decisions may share one candidate set.
+func HoldoutOutcome(cands []HoldoutRule, alpha float64, useFDR bool) *Outcome {
+	ps := make([]float64, len(cands))
+	for i := range cands {
+		ps[i] = cands[i].EvalP
+	}
+	if useFDR {
+		o := BenjaminiHochberg(ps, len(ps), alpha)
+		o.Method = "HD_BH"
+		return o
+	}
+	o := Bonferroni(ps, len(ps), alpha)
+	o.Method = "HD_BC"
+	return o
+}
+
+// evalHalf is the evaluation dataset in the form the re-test reads: a word
+// bitmap of records per item and per class, and one p-value ladder pool
+// per class. The item encoding comes from the schema, so the exploratory
+// closures' item ids index items directly.
+type evalHalf struct {
+	items   [][]uint64 // items[i]: the records holding item i
+	classes [][]uint64 // classes[c]: the records labelled c
+	scratch []uint64
+	pools   []*stats.BufferPool // pools[c]: class c's ladders over [1, n]
+}
+
+func newEvalHalf(eval *dataset.Dataset) *evalHalf {
+	enc := dataset.Encode(eval)
+	w := intset.Words(enc.NumRecords)
+	nItems := enc.Enc.NumItems()
+	slab := make([]uint64, w*(nItems+enc.NumClasses+1))
+	row := func(i int) []uint64 { return slab[i*w : (i+1)*w : (i+1)*w] }
+	e := &evalHalf{
+		items:   make([][]uint64, nItems),
+		classes: make([][]uint64, enc.NumClasses),
+		scratch: row(nItems + enc.NumClasses),
+		pools:   make([]*stats.BufferPool, enc.NumClasses),
+	}
+	for c, h := range mining.NewHypergeoms(enc) {
+		e.pools[c] = stats.NewBufferPool(h, 1, enc.NumRecords)
+	}
+	for i, tids := range enc.Tids {
+		e.items[i] = row(i)
+		intset.SetWords(e.items[i], tids)
+	}
+	for c := range e.classes {
+		e.classes[c] = row(nItems + c)
+	}
+	for r, c := range enc.Labels {
+		e.classes[c][r>>6] |= 1 << (r & 63)
+	}
+	return e
+}
+
+// counts returns the evaluation coverage of the non-empty pattern items
+// and the support of the rule items ⇒ class: the popcount of the AND of
+// the items' bitmaps, without and with the class bitmap.
+func (e *evalHalf) counts(items []dataset.Item, class int32) (cvg, supp int) {
+	s := e.scratch
+	copy(s, e.items[items[0]])
+	for _, it := range items[1:] {
+		b := e.items[it]
+		for j := range s {
+			s[j] &= b[j]
+		}
+	}
+	for _, w := range s {
+		cvg += bits.OnesCount64(w)
+	}
+	return cvg, intset.IntersectCountWords(s, e.classes[class])
 }
 
 // patternOf converts a closure's item ids into parallel attribute/value

@@ -389,6 +389,46 @@ func TestGenerateRulesMinConf(t *testing.T) {
 	}
 }
 
+// TestGenerateRulesMatchPerRuleFisher pins scoring's shared ladders to
+// the per-rule oracle: every Fisher p-value GenerateRules reads from its
+// per-call pools equals Hypergeom.FisherTwoTailed bit for bit, under
+// every class policy, on two- and three-class data.
+func TestGenerateRulesMatchPerRuleFisher(t *testing.T) {
+	for _, classes := range []int{2, 3} {
+		rng := rand.New(rand.NewPCG(109, uint64(classes)))
+		enc := dataset.Encode(randomDataset(rng, 240, 4, 3, classes))
+		tree, err := MineClosed(enc, Options{MinSup: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := NewHypergeoms(enc)
+		for _, opts := range []RuleOptions{
+			{Policy: PaperPolicy},
+			{Policy: AllClasses},
+			{Policy: FixedClass, Class: int32(classes - 1)},
+		} {
+			rules, err := GenerateRules(tree, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rules) < tree.NumPatterns() {
+				t.Fatalf("%d classes, policy %d: %d rules for %d patterns", classes, opts.Policy, len(rules), tree.NumPatterns())
+			}
+			cvgs := map[int]bool{}
+			for i, r := range rules {
+				cvgs[r.Coverage] = true
+				if want := hs[r.Class].FisherTwoTailed(r.Support, r.Coverage); r.P != want {
+					t.Fatalf("%d classes, policy %d: rule %d (class %d, cvg %d, supp %d): p %v, per-rule oracle %v",
+						classes, opts.Policy, i, r.Class, r.Coverage, r.Support, r.P, want)
+				}
+			}
+			if len(cvgs) >= len(rules) {
+				t.Fatalf("%d classes, policy %d: no coverage repeats, so no ladder is reused", classes, opts.Policy)
+			}
+		}
+	}
+}
+
 func TestSortRulesByP(t *testing.T) {
 	rng := rand.New(rand.NewPCG(103, 107))
 	d := randomDataset(rng, 100, 4, 3, 2)

@@ -95,16 +95,8 @@ type RuleOptions struct {
 	// in all experiments (domain significance is orthogonal to the
 	// statistical question studied); it is exposed for the library API.
 	MinConf float64
-	// Test selects the significance test (default TestFisher). Buffer
-	// pools only apply to TestFisher.
+	// Test selects the significance test (default TestFisher).
 	Test TestKind
-	// Pools, if non-nil, maps each class to a p-value buffer pool; when
-	// nil, p-values are computed directly (the Fig-4 "no optimization"
-	// path).
-	Pools []*stats.BufferPool
-	// Hypergeoms maps each class to its evaluator (required when Pools is
-	// nil). Exactly one of Pools/Hypergeoms may be nil.
-	Hypergeoms []*stats.Hypergeom
 }
 
 // NewHypergeoms builds one hypergeometric evaluator per class, sharing a
@@ -122,24 +114,29 @@ func NewHypergeoms(enc *dataset.Encoded) []*stats.Hypergeom {
 // given policy. The root is skipped when its closure is empty (the empty
 // pattern is not a rule LHS). Rules appear in tree (DFS) order; for
 // multi-class policies the per-pattern rules appear in class order.
+//
+// Fisher p-values come from one ladder per (class, coverage) for the
+// length of the call: each class gets a buffer pool whose static range
+// spans every coverage a pattern can have, [tree.MinSup, n], and the pools
+// are dropped on return. The ladders are built by the same construction
+// as Hypergeom.FisherTwoTailed, so every p-value is bit-identical to the
+// per-rule evaluation.
 func GenerateRules(tree *Tree, opts RuleOptions) ([]Rule, error) {
 	enc := tree.Enc
-	if opts.Pools == nil && opts.Hypergeoms == nil {
-		opts.Hypergeoms = NewHypergeoms(enc)
-	}
+	hs := NewHypergeoms(enc)
+	pools := make([]*stats.BufferPool, len(hs))
 	pval := func(class int32, cvg, k int) float64 {
+		h := hs[class]
 		switch opts.Test {
 		case TestMidP:
-			h := hyperOf(opts, class)
 			return h.FisherMidP(k, cvg)
 		case TestChiSquare:
-			h := hyperOf(opts, class)
 			return stats.ChiSquarePValue(stats.ChiSquare2x2(k, cvg, h.N(), h.NC()), 1)
 		default:
-			if opts.Pools != nil {
-				return opts.Pools[class].PValue(cvg, k)
+			if pools[class] == nil {
+				pools[class] = stats.NewBufferPool(h, tree.MinSup, enc.NumRecords)
 			}
-			return opts.Hypergeoms[class].FisherTwoTailed(k, cvg)
+			return pools[class].PValue(cvg, k)
 		}
 	}
 
@@ -187,15 +184,6 @@ func GenerateRules(tree *Tree, opts RuleOptions) ([]Rule, error) {
 		}
 	}
 	return rules, nil
-}
-
-// hyperOf returns the class's hypergeometric evaluator whether the caller
-// supplied pools or evaluators.
-func hyperOf(opts RuleOptions, class int32) *stats.Hypergeom {
-	if opts.Hypergeoms != nil {
-		return opts.Hypergeoms[class]
-	}
-	return opts.Pools[class].H
 }
 
 // enrichedClass returns, for a two-class dataset, the class whose observed
