@@ -13,6 +13,9 @@
 // []uint64 bitmap intersect-counts against another bitmap at 64 elements
 // per AND+popcount instead of one element per merge step, and the striped
 // forms count a whole block of permutations per pass over the tid words.
+// AndInto, SubsetWords and the Append* extractors are the set operations
+// the closed miner runs on the bitmaps of dense nodes; IsDense is the one
+// density cut-off both Rep and the miner use.
 // Arena is a generic bump allocator with checkpoint/rewind, so recursive
 // walks reuse scratch instead of reallocating it.
 //
@@ -245,12 +248,7 @@ func (b *Bitset) IntersectCountWords(ws []uint64) int {
 // element of the strictly increasing slice a against the bitset — O(len(a))
 // regardless of the bitset's population. dst must not alias a.
 func (b *Bitset) IntersectSliceInto(dst, a []uint32) []uint32 {
-	for _, x := range a {
-		if b.words[x>>6]&(1<<(x&63)) != 0 {
-			dst = append(dst, x)
-		}
-	}
-	return dst
+	return AppendMembers(dst, b.words, a)
 }
 
 // ContainsAll reports whether every element of a is in the set.
@@ -273,14 +271,7 @@ func (b *Bitset) Reset() {
 // Slice appends the elements of the set to dst in increasing order and
 // returns the extended slice.
 func (b *Bitset) Slice(dst []uint32) []uint32 {
-	for wi, w := range b.words {
-		base := uint32(wi * 64)
-		for w != 0 {
-			dst = append(dst, base+uint32(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
+	return AppendWords(dst, b.words)
 }
 
 // Words returns the number of uint64 words needed to hold a bitmap over a
@@ -319,6 +310,91 @@ func IntersectCountWords(a, b []uint64) int {
 	return n
 }
 
+// AndInto writes a & b into dst word by word and returns the popcount of
+// the result: an intersection and its size in one pass, 64 elements per
+// AND. The three slices have equal length; dst may alias a or b.
+func AndInto(dst, a, b []uint64) int {
+	b = b[:len(a)]
+	dst = dst[:len(a)]
+	n := 0
+	for i, w := range a {
+		w &= b[i]
+		dst[i] = w
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// SubsetWords reports whether the bitmap a is a subset of the bitmap b,
+// stopping at the first word where a &^ b is nonzero. len(b) >= len(a).
+func SubsetWords(a, b []uint64) bool {
+	b = b[:len(a)]
+	for i, w := range a {
+		if w&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendWords appends the elements of the bitmap ws to dst in increasing
+// order and returns the extended slice.
+func AppendWords(dst []uint32, ws []uint64) []uint32 {
+	for wi, w := range ws {
+		base := uint32(wi * 64)
+		for w != 0 {
+			dst = append(dst, base+uint32(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
+// AppendAndNot appends the elements of a &^ b — those of the bitmap a
+// missing from the bitmap b — to dst in increasing order. len(b) >= len(a).
+func AppendAndNot(dst []uint32, a, b []uint64) []uint32 {
+	b = b[:len(a)]
+	for wi, w := range a {
+		w &^= b[wi]
+		base := uint32(wi * 64)
+		for w != 0 {
+			dst = append(dst, base+uint32(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
+// AppendMembers appends the elements of the strictly increasing slice ids
+// that are set in the bitmap ws — ids ∩ ws in O(len(ids)) probes — to dst.
+// ids values must be < 64*len(ws); dst must not alias ids.
+func AppendMembers(dst []uint32, ws []uint64, ids []uint32) []uint32 {
+	for _, x := range ids {
+		if ws[x>>6]&(1<<(x&63)) != 0 {
+			dst = append(dst, x)
+		}
+	}
+	return dst
+}
+
+// AppendExcept appends the elements of the bitmap ws that are not in the
+// strictly increasing slice ids — ws \ ids — to dst in increasing order,
+// without writing to ws.
+func AppendExcept(dst []uint32, ws []uint64, ids []uint32) []uint32 {
+	j := 0
+	for wi, w := range ws {
+		for ; j < len(ids) && int(ids[j]>>6) == wi; j++ {
+			w &^= 1 << (ids[j] & 63)
+		}
+		base := uint32(wi * 64)
+		for w != 0 {
+			dst = append(dst, base+uint32(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
 // denseShift sets the adaptive density cut-off: a tid-set covering at
 // least universe>>denseShift records (≥ 1/8 of the universe) gets a bitset
 // alongside its sorted slice. Below that, the bitset's memory (universe/8
@@ -346,10 +422,18 @@ type Rep struct {
 // copied.
 func NewRep(universe int, ids []uint32) *Rep {
 	r := &Rep{Ids: ids}
-	if len(ids) >= denseMin && universe > 0 && len(ids) >= universe>>denseShift {
+	if IsDense(universe, len(ids)) {
 		r.bits = FromSlice(universe, ids)
 	}
 	return r
+}
+
+// IsDense reports whether a set of size elements is dense in a universe of
+// the given size: the cut-off at which NewRep adds a bitset, and at which
+// the closed miner holds a node's records as a word bitmap instead of a
+// sorted slice.
+func IsDense(universe, size int) bool {
+	return size >= denseMin && universe > 0 && size >= universe>>denseShift
 }
 
 // Dense reports whether the Rep carries a bitset.
@@ -366,15 +450,6 @@ func (r *Rep) IntersectInto(dst, a []uint32) []uint32 {
 		return r.bits.IntersectSliceInto(dst, a)
 	}
 	return IntersectInto(dst, a, r.Ids)
-}
-
-// Intersect returns a newly allocated a ∩ r.
-func (r *Rep) Intersect(a []uint32) []uint32 {
-	n := len(a)
-	if len(r.Ids) < n {
-		n = len(r.Ids)
-	}
-	return r.IntersectInto(make([]uint32, 0, n), a)
 }
 
 // Words is the zero-build fast path into word-parallel counting: it

@@ -268,13 +268,13 @@ func TestRepMatchesSliceSemantics(t *testing.T) {
 		if r.Len() != len(ids) {
 			t.Fatalf("Len = %d, want %d", r.Len(), len(ids))
 		}
-		if got, want := r.Intersect(a), Intersect(a, ids); !Equal(got, want) {
-			t.Fatalf("dense=%v: Rep.Intersect = %v, want %v", r.Dense(), got, want)
+		if got, want := r.IntersectInto(nil, a), Intersect(a, ids); !Equal(got, want) {
+			t.Fatalf("dense=%v: Rep.IntersectInto = %v, want %v", r.Dense(), got, want)
 		}
 		if got, want := r.ContainsAll(a), Subset(a, ids); got != want {
 			t.Fatalf("dense=%v: Rep.ContainsAll = %v, want %v", r.Dense(), got, want)
 		}
-		sub := r.Intersect(a)
+		sub := r.IntersectInto(nil, a)
 		if !r.ContainsAll(sub) {
 			t.Fatal("Rep must contain its own intersection output")
 		}

@@ -146,6 +146,68 @@ func TestIntersectCountWordsRandomOracle(t *testing.T) {
 	}
 }
 
+// TestWordSetOpsRandomOracle cross-checks the bitmap set operations the
+// closed miner runs on dense nodes — AndInto, SubsetWords, AppendWords,
+// AppendAndNot, AppendMembers and AppendExcept — against the slice
+// oracles, on universes that are often not multiples of 64.
+func TestWordSetOpsRandomOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 0))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.IntN(700)
+		a := randomIds(rng, n, rng.Float64())
+		b := randomIds(rng, n, rng.Float64())
+		if trial%3 == 0 {
+			b = Union(a, b) // make a ⊆ b hold on a third of the trials
+		}
+		aw := make([]uint64, Words(n))
+		bw := make([]uint64, Words(n))
+		SetWords(aw, a)
+		SetWords(bw, b)
+
+		and := make([]uint64, Words(n))
+		inter := Intersect(a, b)
+		if got := AndInto(and, aw, bw); got != len(inter) {
+			t.Fatalf("trial %d: AndInto count %d, want %d", trial, got, len(inter))
+		}
+		if got := AppendWords(nil, and); !Equal(got, inter) {
+			t.Fatalf("trial %d: AppendWords(a&b) = %v, want %v", trial, got, inter)
+		}
+		if got := AppendMembers(nil, bw, a); !Equal(got, inter) {
+			t.Fatalf("trial %d: AppendMembers = %v, want %v", trial, got, inter)
+		}
+		if got, want := SubsetWords(aw, bw), Subset(a, b); got != want {
+			t.Fatalf("trial %d: SubsetWords = %v, want %v", trial, got, want)
+		}
+		diff := Diff(a, b)
+		if got := AppendAndNot(nil, aw, bw); !Equal(got, diff) {
+			t.Fatalf("trial %d: AppendAndNot = %v, want %v", trial, got, diff)
+		}
+		if got := AppendExcept(nil, aw, inter); !Equal(got, diff) {
+			t.Fatalf("trial %d: AppendExcept = %v, want %v", trial, got, diff)
+		}
+		// AndInto may write over one of its operands.
+		if got := AndInto(aw, aw, bw); got != len(inter) || !Equal(AppendWords(nil, aw), inter) {
+			t.Fatalf("trial %d: in-place AndInto disagrees with the oracle", trial)
+		}
+	}
+}
+
+// TestIsDenseMatchesRep pins IsDense as the one density cut-off: a Rep
+// carries a bitset exactly when IsDense holds for its size.
+func TestIsDenseMatchesRep(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 100, 511, 512, 520, 1000, 4096} {
+		for _, size := range []int{0, 1, 63, 64, 65, n / 8, n/8 - 1, n / 2, n} {
+			if size < 0 || size > n {
+				continue
+			}
+			rep := NewRep(n, fullIds(n)[:size])
+			if got := IsDense(n, size); got != rep.Dense() {
+				t.Fatalf("n=%d size=%d: IsDense %v, Rep.Dense %v", n, size, got, rep.Dense())
+			}
+		}
+	}
+}
+
 // FuzzIntersectCountWords feeds arbitrary byte strings interpreted as two
 // id sets over a shared universe and requires the word kernel to agree
 // with the slice-walk IntersectCount oracle.

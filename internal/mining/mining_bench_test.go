@@ -5,12 +5,15 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/synth"
+	"repro/internal/uci"
 )
 
 // Ablation: mining with and without Diffset storage. Diffsets trade a
 // cheaper permutation phase for slightly different memory traffic during
 // mining; these benches isolate the mining side (the permutation side is
-// covered in internal/permute).
+// covered in internal/permute). Most of their nodes fall below the
+// density cut-off and are mined on sorted tid-lists; BenchmarkMineClosedDense
+// is the other side, where every node is a word bitmap.
 
 func benchDataset(b *testing.B, n, attrs int) *dataset.Encoded {
 	b.Helper()
@@ -47,6 +50,26 @@ func BenchmarkMineClosedDiffsets(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree, err := MineClosed(enc, Options{MinSup: 60, StoreDiffsets: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkTree = tree
+	}
+}
+
+// BenchmarkMineClosedDense mines the hypo stand-in (3163 records) at
+// MinSup 600, the shape of a direct-dense run: every node's support is
+// above the density cut-off, so the whole tree is mined on word bitmaps.
+func BenchmarkMineClosedDense(b *testing.B) {
+	d, err := uci.Load("hypo", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := dataset.Encode(d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree, err := MineClosed(enc, Options{MinSup: 600, StoreDiffsets: true})
 		if err != nil {
 			b.Fatal(err)
 		}
