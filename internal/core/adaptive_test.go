@@ -192,10 +192,12 @@ func TestAdaptiveNormalization(t *testing.T) {
 }
 
 // TestPermutationRuleFreeNull pins the null of a run that tests no rule:
-// every permutation's minimum over the empty rule set is 1, so the FWER
-// cut-off is 1 for a fixed run and for a retirement-disabled adaptive run
-// of the same budget alike — the one-round and multi-round schedules of
-// one driver must not disagree on the degenerate input either.
+// every permutation's minimum over the empty rule set is 1, so all N
+// min-p values tie and none has at most ⌊αN⌋ values at or below it. The
+// FWER cut-off is -1 (nothing can be significant) for a fixed run and for
+// a retirement-disabled adaptive run of the same budget alike — the
+// one-round and multi-round schedules of one driver must not disagree on
+// the degenerate input either.
 func TestPermutationRuleFreeNull(t *testing.T) {
 	sess := NewSession(adaptiveDataset(t).Data)
 	for _, cfg := range []Config{
@@ -207,8 +209,8 @@ func TestPermutationRuleFreeNull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.NumTested != 0 || res.Cutoff != 1 {
-			t.Errorf("adaptive=%v: %d tested, cutoff %g; want 0 tested under the all-ones null cutoff 1",
+		if res.NumTested != 0 || res.Cutoff != -1 {
+			t.Errorf("adaptive=%v: %d tested, cutoff %g; want 0 tested under the all-ones null cutoff -1",
 				cfg.Adaptive.Enabled(), res.NumTested, res.Cutoff)
 		}
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/permute"
 	"repro/internal/synth"
 )
@@ -177,6 +180,50 @@ func TestRunOptLevels(t *testing.T) {
 			if out.Significant[i].P != ref[i].P {
 				t.Fatalf("opt=%v: p mismatch at %d", opt, i)
 			}
+		}
+	}
+}
+
+// TestPermutationFWERConstantClass is the tie repro of the permutation
+// FWER cut-off: 200 records that all have class=yes. Every rule's Fisher
+// p-value is 1 on the data and on every permutation, so all min-p values
+// tie at 1. No cut-off keeps the share of permutations at or below it
+// within α, and permutation FWER must report nothing — as direct and
+// holdout do — instead of every rule at cut-off 1.
+func TestPermutationFWERConstantClass(t *testing.T) {
+	var csv strings.Builder
+	csv.WriteString("a,b,c,class\n")
+	for r := 0; r < 200; r++ {
+		fmt.Fprintf(&csv, "a%d,b%d,c%d,yes\n", r%2, r%3, (r/2)%2)
+	}
+	tab, err := dataset.ReadTable(strings.NewReader(csv.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := tab.ToDataset(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Method: MethodPermutation, Permutations: 50},
+		{Method: MethodPermutation, Adaptive: permute.Adaptive{MinPerms: 10, MaxPerms: 50}},
+		{Method: MethodDirect},
+		{Method: MethodHoldout},
+	} {
+		cfg.MinSup, cfg.Control, cfg.Seed = 20, ControlFWER, 1
+		res, err := Run(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumTested == 0 {
+			t.Fatalf("method %v: no rules tested", cfg.Method)
+		}
+		if len(res.Significant) != 0 {
+			t.Errorf("method %v adaptive=%v: %d of %d rules significant at cut-off %g, want none",
+				cfg.Method, cfg.Adaptive.Enabled(), len(res.Significant), res.NumTested, res.Cutoff)
+		}
+		if cfg.Method == MethodPermutation && res.Cutoff >= 0 {
+			t.Errorf("adaptive=%v: cut-off %g, want negative (nothing certifiable)", cfg.Adaptive.Enabled(), res.Cutoff)
 		}
 	}
 }

@@ -155,6 +155,54 @@ func TestPermFWERCutoff(t *testing.T) {
 	}
 }
 
+// TestPermFWERCutoffTies pins the cut-off at ties across the ⌊αN⌋
+// boundary: it is the largest min-p value with at most ⌊αN⌋ values at or
+// below it, or negative when no value qualifies.
+func TestPermFWERCutoffTies(t *testing.T) {
+	seq := func(head ...float64) []float64 {
+		// head, then distinct values 0.5, 0.51, ... up to 20 entries.
+		out := append([]float64(nil), head...)
+		for v := 0.5; len(out) < 20; v += 0.01 {
+			out = append(out, v)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		minP  []float64
+		alpha float64
+		want  float64
+	}{
+		// k = ⌊0.05·20⌋ = 1.
+		{"k-th ties the next", seq(0.01, 0.01), 0.05, -1},
+		{"k-th strictly below the next", seq(0.01, 0.02), 0.05, 0.01},
+		// k = ⌊0.25·20⌋ = 5.
+		{"tie straddles k", seq(0.01, 0.02, 0.03, 0.04, 0.04, 0.04), 0.25, 0.03},
+		{"tie ends at k", seq(0.01, 0.02, 0.04, 0.04, 0.04, 0.06), 0.25, 0.04},
+		{"tie from the smallest", seq(0.04, 0.04, 0.04, 0.04, 0.04, 0.04), 0.25, -1},
+		{"all tie", []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0.25, -1},
+		// Input order must not matter.
+		{"unsorted tie", []float64{0.9, 0.04, 0.04, 0.04, 0.01, 0.7, 0.04, 0.6, 0.55, 0.02, 0.8, 0.81, 0.82, 0.83, 0.84, 0.85, 0.86, 0.87, 0.88, 0.89}, 0.25, 0.02},
+		// k ≥ N: every value qualifies, so the largest is the cut-off.
+		{"k covers every permutation", []float64{0.3, 0.3, 0.1}, 1, 0.3},
+	} {
+		if got := PermFWERCutoff(tc.minP, tc.alpha); got != tc.want {
+			t.Errorf("%s: cut-off %g, want %g", tc.name, got, tc.want)
+		}
+		// Whatever the ties, the cut-off admits at most ⌊αN⌋ permutations.
+		cut := PermFWERCutoff(tc.minP, tc.alpha)
+		at := 0
+		for _, v := range tc.minP {
+			if v <= cut {
+				at++
+			}
+		}
+		if k := int(tc.alpha * float64(len(tc.minP))); at > k {
+			t.Errorf("%s: %d permutations at or below the cut-off, more than ⌊αN⌋ = %d", tc.name, at, k)
+		}
+	}
+}
+
 func TestPermAdjustedP(t *testing.T) {
 	counts := []int64{0, 5, 100}
 	adj := PermAdjustedP(counts, 10, 10) // N·Nt = 100

@@ -8,12 +8,15 @@ import (
 )
 
 // PermFWERCutoff derives the FWER-controlling cut-off from the per-
-// permutation minimum p-values (§4.2): sort them ascending and take the
-// ⌊alpha·N⌋-th (1-based). Any rule at or below this threshold would have
-// been the most extreme rule on at most an alpha fraction of null
-// datasets. Returns a negative cut-off (nothing significant) when
-// ⌊alpha·N⌋ < 1, i.e. when too few permutations were run to certify the
-// level.
+// permutation minimum p-values (§4.2): the largest min-p value v such
+// that at most k = ⌊alpha·N⌋ permutations have a min-p at or below v. Any
+// rule at or below this threshold would have been the most extreme rule
+// on at most an alpha fraction of null datasets. When the
+// k-th smallest min-p ties the (k+1)-th, the cut-off steps down past the
+// whole tie: taking the k-th value itself would let more than k
+// permutations reach it. Returns a negative cut-off (nothing significant)
+// when no value qualifies — ⌊alpha·N⌋ < 1, too few permutations to
+// certify the level, or a tie that reaches the smallest min-p.
 func PermFWERCutoff(minP []float64, alpha float64) float64 {
 	k := int(alpha * float64(len(minP)))
 	if k < 1 {
@@ -22,7 +25,19 @@ func PermFWERCutoff(minP []float64, alpha float64) float64 {
 	sorted := make([]float64, len(minP))
 	copy(sorted, minP)
 	sort.Float64s(sorted)
-	return sorted[k-1]
+	if k >= len(sorted) {
+		return sorted[len(sorted)-1]
+	}
+	// sorted[i] qualifies iff it is strictly below sorted[k]: then every
+	// value at or below it sits among the first k.
+	i := k - 1
+	for i >= 0 && sorted[i] == sorted[k] {
+		i--
+	}
+	if i < 0 {
+		return -1
+	}
+	return sorted[i]
 }
 
 // NullSource supplies the permutation null statistics the fixed-run
@@ -64,7 +79,7 @@ func PermFDR(engine NullSource, rules []mining.Rule, alpha float64) *Outcome {
 
 // AdaptivePermFWER derives the Westfall–Young FWER outcome of an adaptive
 // permutation run (DESIGN.md §7): the cut-off comes from the executed
-// permutations' live-set min-p distribution via the same order statistic
+// permutations' live-set min-p distribution via the same PermFWERCutoff
 // PermFWER uses. When the run retired nothing, the outcome is
 // byte-identical to PermFWER over a fixed run of the same budget.
 func AdaptivePermFWER(res *permute.AdaptiveResult, rules []mining.Rule, alpha float64) *Outcome {

@@ -137,6 +137,35 @@ func TestFig6Controls(t *testing.T) {
 	}
 }
 
+// TestTieHeavyNullControlsFWER runs the Monte Carlo battery on the
+// tie-heavy null (tieNullParams, MinSup 8): permutation FWER's estimated
+// FWER must stay at or below α. Taking the ⌊αN⌋-th smallest min-p even
+// when it ties the next one put this estimate at 0.083; the tie-exact
+// cut-off gives 0.013.
+func TestTieHeavyNullControlsFWER(t *testing.T) {
+	const alpha = 0.05
+	res, err := runBattery(batteryConfig{
+		params:      tieNullParams(),
+		minSupWhole: 8,
+		alpha:       alpha,
+		datasets:    300,
+		perms:       100,
+		seed:        1,
+		workers:     2,
+		methods:     []string{MPermFWER},
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.testedWhole < 5 {
+		t.Fatalf("only %.1f rules tested per dataset; the null is too thin to mean anything", res.testedWhole)
+	}
+	got := res.byMethod[MPermFWER].FWER
+	if got > alpha {
+		t.Errorf("permutation FWER on the tie-heavy null = %.3f over 300 datasets, want <= %g", got, alpha)
+	}
+}
+
 func TestFig8PowerMonotone(t *testing.T) {
 	o := tiny()
 	o.Datasets = 3

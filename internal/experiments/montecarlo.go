@@ -248,6 +248,22 @@ func randomParams() synth.Params {
 	return p
 }
 
+// tieNullParams returns a null whose permutation min-p distribution is
+// full of ties: 20 records over 8 attributes of 2–3 values and no
+// embedded rule. With so few records a rule's Fisher p-value takes a
+// handful of values, so many permutations share their min-p — often 1,
+// when no rule can reach a small p — and the ⌊αN⌋-th smallest min-p
+// usually ties its neighbours. It checks that permutation FWER steps its
+// cut-off below such a tie instead of admitting more than αN
+// permutations.
+func tieNullParams() synth.Params {
+	p := synth.PaperDefaults()
+	p.N = 20
+	p.Attrs = 8
+	p.MaxV = 3
+	return p
+}
+
 // confGrid is the §5.5 x-axis: conf(Rt) from 0.55 to 0.70.
 func confGrid(full bool) []float64 {
 	if full {

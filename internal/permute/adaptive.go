@@ -240,9 +240,10 @@ func DriveAdaptive(ps []float64, ad Adaptive, mode AdaptiveMode, alpha float64, 
 		minP[i] = 1
 	}
 
-	// kmax is the 1-based order statistic PermFWERCutoff will read from
-	// the final min-p distribution: a rule with kmax strictly smaller MinP
-	// values below its p-value can never sit at or below the cut-off.
+	// kmax is the bound ⌊alpha·MaxPerms⌋ PermFWERCutoff applies to the
+	// final min-p distribution: its cut-off is at most the kmax-th smallest
+	// MinP, so a rule with kmax strictly smaller MinP values below its
+	// p-value can never sit at or below the cut-off.
 	kmax := int64(alpha * float64(maxPerms))
 
 	res := &AdaptiveResult{Mode: mode}
@@ -333,7 +334,7 @@ func retireLive(mode AdaptiveMode, alpha float64, kmax, exceedTarget int64, maxP
 			case mc >= kmax:
 				// Sealed: at least kmax permutations already have a MinP
 				// strictly below this rule's p-value, so the final cut-off
-				// (the kmax-th smallest MinP) lies below it for certain.
+				// (at most the kmax-th smallest MinP) lies below it for certain.
 				// (kmax < 1 means the budget cannot certify the level and
 				// nothing can ever be significant.)
 				drop = true
